@@ -489,3 +489,24 @@ func BenchmarkHierLadderSweep(b *testing.B) {
 	}
 	b.ReportMetric(float64(points), "points-executed")
 }
+
+// BenchmarkCompileHierProbe isolates the IL→ISA compiler on the longest
+// kernels the suite builds: one hier chase probe (64 surfaces × 32
+// rounds, about 4.4k IL instructions) compiled for RV770, uncached. The
+// ns/IL-instr metric is the per-instruction compile cost, comparable
+// with the benchmark of record's ilc.ns_per_il_instr layer figure.
+func BenchmarkCompileHierProbe(b *testing.B) {
+	k, err := hier.Probe{Type: il.Float, SurfaceBytes: 256, Surfaces: 64, Rounds: 32, Batch: 1}.Kernel()
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := device.Lookup(device.RV770)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ilc.Compile(k, spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(k.Code)), "ns/IL-instr")
+}

@@ -129,6 +129,9 @@ func (p Probe) Kernel() (*il.Kernel, error) {
 		Name: p.name(), Mode: il.Pixel, Type: p.Type,
 		NumInputs: p.Surfaces, NumOutputs: 1,
 		InputSpace: il.TextureSpace, OutSpace: il.TextureSpace,
+		// Seed fetch, ballast chain, R×K fetch/fold pairs, ballast
+		// folds and the export.
+		Code: make([]il.Instr, 0, 2+2*ballastOps+2*p.Rounds*p.Surfaces),
 	}
 	// Seed fetch: the ballast chains off its result, and it gives the
 	// fetch schedule a repeated surface so the packed arena always

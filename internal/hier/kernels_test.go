@@ -123,3 +123,22 @@ func TestProbeKernelName(t *testing.T) {
 		t.Errorf("kernel name %q does not encode the probe", k.Name)
 	}
 }
+
+// TestProbeKernelCodeExactlySized pins the instruction count Kernel
+// presizes its code for: a wrong count would either regrow the slice or
+// leave spare capacity in every cached kernel.
+func TestProbeKernelCodeExactlySized(t *testing.T) {
+	for _, p := range []Probe{
+		{Type: il.Float, SurfaceBytes: 256, Surfaces: 64, Rounds: 32, Batch: 1},
+		{Type: il.Float4, SurfaceBytes: 1024, Surfaces: 16, Rounds: 4, Batch: 8},
+		{Type: il.Float, SurfaceBytes: 256, Surfaces: 5, Rounds: 3, Batch: 2},
+	} {
+		k, err := p.Kernel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := 2 + 2*ballastOps + 2*p.Rounds*p.Surfaces; len(k.Code) != want || cap(k.Code) != want {
+			t.Errorf("%s: len %d cap %d, want both %d", k.Name, len(k.Code), cap(k.Code), want)
+		}
+	}
+}

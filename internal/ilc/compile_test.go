@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"amdgpubench/internal/device"
 	"amdgpubench/internal/il"
@@ -337,6 +338,36 @@ func TestCompilePreservesSemanticsChains(t *testing.T) {
 			if !interp.OutputsEqual(want, got, 1) {
 				t.Fatalf("inputs=%d extra=%d: IL %v != ISA %v", inputs, extra, want, got)
 			}
+		}
+	}
+}
+
+// TestNonPositiveClauseLimitsRejected pins the fix for a hang: a spec
+// with a zero clause limit used to make clause formation step by zero
+// forever. The compile runs under a deadline so a regression fails the
+// test instead of hanging the suite.
+func TestNonPositiveClauseLimitsRejected(t *testing.T) {
+	k := chain(3, 4, il.Pixel, il.Float, il.TextureSpace, il.TextureSpace, 1)
+	for _, spec := range []device.Spec{
+		{},
+		{MaxFetchesPerTEXClause: 8},
+		{MaxSlotsPerALUClause: 128},
+		{MaxFetchesPerTEXClause: -1, MaxSlotsPerALUClause: 128},
+	} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := Compile(k, spec)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("Compile with clause limits TEX %d, ALU %d succeeded, want an error",
+					spec.MaxFetchesPerTEXClause, spec.MaxSlotsPerALUClause)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("Compile with clause limits TEX %d, ALU %d did not return",
+				spec.MaxFetchesPerTEXClause, spec.MaxSlotsPerALUClause)
 		}
 	}
 }
