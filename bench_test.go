@@ -101,7 +101,7 @@ func repeatedSweep(b *testing.B, disableCache bool) {
 				b.Fatal(err)
 			}
 		}
-		for _, st := range s.CacheStats().Stages {
+		for _, st := range s.Pipeline().Stats().Stages {
 			hits += st.Hits + st.Coalesced
 			lookups += st.Hits + st.Coalesced + st.Misses
 		}

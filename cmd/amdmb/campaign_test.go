@@ -22,16 +22,8 @@ func TestCampaignMatchesGoldens(t *testing.T) {
 		t.Fatalf("exit %d, stderr: %s", code, stderr)
 	}
 
-	var want strings.Builder
-	for _, fig := range goldenFigures {
-		data, err := os.ReadFile(filepath.Join("testdata", "golden", fig+".csv"))
-		if err != nil {
-			t.Fatalf("%v (run `go test ./cmd/amdmb -run TestGoldenFigureCSVs -update-goldens` to pin)", err)
-		}
-		want.Write(data)
-	}
-	if out != want.String() {
-		t.Errorf("campaign stdout is not the concatenation of the goldens:\n%s", firstDiff(want.String(), out))
+	if want := concatenatedGoldens(t); out != want {
+		t.Errorf("campaign stdout is not the concatenation of the goldens:\n%s", firstDiff(want, out))
 	}
 
 	m := regexp.MustCompile(`deduped=(\d+)`).FindStringSubmatch(stderr)
@@ -41,10 +33,25 @@ func TestCampaignMatchesGoldens(t *testing.T) {
 	if n, _ := strconv.Atoi(m[1]); n == 0 {
 		t.Errorf("flagship bundle campaign reported deduped=0: %s", stderr)
 	}
-	for _, want := range []string{"restored=0", "failed=0"} {
-		if !strings.Contains(stderr, want) {
-			t.Errorf("summary missing %q: %s", want, stderr)
-		}
+	if !strings.Contains(stderr, "failed=0") {
+		t.Errorf("summary missing failed=0: %s", stderr)
+	}
+}
+
+// TestMetricsStayOffFigureOutput pins the diagnostics contract: with
+// -metrics the registry goes to stderr, and the stdout of a -csv
+// campaign is still byte-for-byte the concatenated goldens.
+func TestMetricsStayOffFigureOutput(t *testing.T) {
+	code, out, stderr := runCLI(t,
+		"campaign", "-csv", "-metrics", "-iters", "1", "-figs", strings.Join(goldenFigures, ","))
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, stderr)
+	}
+	if out != concatenatedGoldens(t) {
+		t.Errorf("-metrics changed campaign stdout:\n%s", firstDiff(concatenatedGoldens(t), out))
+	}
+	if !strings.Contains(stderr, "campaign.points.deduped") {
+		t.Errorf("-metrics registry missing from stderr: %s", stderr)
 	}
 }
 

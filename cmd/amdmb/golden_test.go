@@ -21,6 +21,21 @@ var updateGoldens = flag.Bool("update-goldens", false, "rewrite testdata/golden 
 
 var goldenFigures = []string{"fig7", "fig8", "fig11", "fig16"}
 
+// concatenatedGoldens is the pinned stdout of a -csv campaign over
+// goldenFigures: each figure's golden CSV, in order.
+func concatenatedGoldens(t *testing.T) string {
+	t.Helper()
+	var want strings.Builder
+	for _, fig := range goldenFigures {
+		data, err := os.ReadFile(filepath.Join("testdata", "golden", fig+".csv"))
+		if err != nil {
+			t.Fatalf("%v (run `go test ./cmd/amdmb -run TestGoldenFigureCSVs -update-goldens` to pin)", err)
+		}
+		want.Write(data)
+	}
+	return want.String()
+}
+
 func TestGoldenFigureCSVs(t *testing.T) {
 	for _, fig := range goldenFigures {
 		t.Run(fig, func(t *testing.T) {

@@ -7,7 +7,6 @@ package main
 // sharded-vs-direct identity of the new sweeps.
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -77,28 +76,21 @@ func TestHierCampaignGlobCacheIdentity(t *testing.T) {
 }
 
 // TestHierCampaignShardsMergeToGoldens splits the dissection bundle
-// across two shard processes and merges: the unsharded follow-up must
-// restore everything (executed=0) and emit the goldens bit-exactly.
+// across two concurrent shards sharing one -cache-dir: the unsharded
+// follow-up must serve every simulation from disk and emit the goldens
+// bit-exactly.
 func TestHierCampaignShardsMergeToGoldens(t *testing.T) {
-	ck := filepath.Join(t.TempDir(), "ck.json")
-	for shard := 0; shard < 2; shard++ {
-		spec := fmt.Sprintf("%d/2", shard)
-		code, out, stderr := runCLI(t,
-			"campaign", "-figs", "hier-*", "-iters", "1", "-checkpoint", ck, "-shard", spec)
-		if code != 0 {
-			t.Fatalf("shard %s: exit %d, stderr: %s", spec, code, stderr)
-		}
-		if out != "" {
-			t.Errorf("shard %s emitted figures; shards must only checkpoint:\n%s", spec, out)
-		}
-	}
+	cache := t.TempDir()
+	runShards(t, 2, "campaign", "-figs", "hier-*", "-iters", "1", "-cache-dir", cache)
 	code, out, stderr := runCLI(t,
-		"campaign", "-figs", "hier-*", "-iters", "1", "-csv", "-checkpoint", ck)
+		"campaign", "-figs", "hier-*", "-iters", "1", "-csv", "-cache-dir", cache, "-metrics-json")
 	if code != 0 {
 		t.Fatalf("merge run: exit %d, stderr: %s", code, stderr)
 	}
-	if !strings.Contains(stderr, "executed=0") {
-		t.Errorf("merge run re-executed units: %s", stderr)
+	m := metricsOf(t, stderr)
+	if m["pipeline.persist.misses"] != 0 || m["pipeline.persist.hits"] == 0 {
+		t.Errorf("merge run computed %d simulations and served %d; want 0 computed",
+			m["pipeline.persist.misses"], m["pipeline.persist.hits"])
 	}
 	if want := concatenatedHierGoldens(t); out != want {
 		t.Errorf("sharded+merged campaign stdout diverges from goldens:\n%s", firstDiff(want, out))

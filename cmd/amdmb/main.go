@@ -15,8 +15,7 @@
 //
 // The campaign subcommand plans several figures as one deduplicated DAG
 // of launch units and executes them as a single resilient sweep, so
-// work shared between figures runs once and a checkpoint spans the
-// whole bundle; `-plan` prints the schedule and dedup statistics
+// work shared between figures runs once; `-plan` prints the schedule and dedup statistics
 // without running. See campaign.go and internal/campaign; `amdmb
 // campaign -h` lists its flags. Beyond the paper's figures, the
 // campaign registry includes the memory-hierarchy dissection figures
@@ -31,8 +30,8 @@
 // and internal/hier; `amdmb infer -h` lists its flags.
 //
 // The soak subcommand runs seeded adversarial stress campaigns —
-// generated kernels under fault injection, kill/checkpoint/resume
-// cycles and cache churn, with continuous invariant oracles and
+// generated kernels under fault injection, kill/resume cycles and
+// cache churn, with continuous invariant oracles and
 // crash-torture of child amdmb processes; see soak.go and
 // internal/soak. `amdmb soak -h` lists its flags.
 //
@@ -44,19 +43,19 @@
 //	-o dir             also write <dir>/<figure>.csv and a matching gnuplot script
 //	-timeout N         per-launch watchdog budget in simulated cycles (0 = default)
 //	-retries N         retry attempts for transient launch failures (default 2)
-//	-checkpoint file   record completed sweep points; re-running resumes from it
 //	-faults plan       arm deterministic fault injection, e.g.
 //	                   'seed=42;hang:prob=0.01;transient:prob=0.05'
-//	-cache-stats       print the pipeline's per-stage artifact-cache counters
 //	-no-cache          disable content-addressed artifact caching (recompute all)
 //	-cache-dir dir     persistent on-disk simulate-result cache: results load
-//	                   from dir before computing and write through, so repeat
-//	                   runs (and daemon restarts) replay instead of recompute
+//	                   from dir before computing and write through, so a
+//	                   re-run after a kill resumes, shards sharing dir merge,
+//	                   and daemon restarts replay instead of recompute
 //	-trace file        record per-launch spans (with the pipeline stages nested
 //	                   inside) as Chrome trace_event JSON; open in Perfetto or
 //	                   chrome://tracing
 //	-metrics           print the suite's metrics registry (cache, fault, retry
 //	                   and sweep counters plus latency histograms) as a table
+//	                   on stderr, so figure output on stdout stays clean
 //	-metrics-json      like -metrics but as JSON (implies -metrics)
 //	-progress          show a live per-sweep progress line on stderr (points
 //	                   done/total, failures, cache hit rate, ETA)
@@ -100,10 +99,7 @@ type cli struct {
 	outDir      string
 	timeout     uint64
 	retries     int
-	checkpoint  string
-	ckptFlush   int
 	faults      string
-	cacheStats  bool
 	noCache     bool
 	cacheDir    string
 	tracePath   string
@@ -269,15 +265,12 @@ func (c *cli) commonFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.outDir, "o", "", "also write <dir>/<figure>.csv and a matching gnuplot script")
 	fs.Uint64Var(&c.timeout, "timeout", 0, "per-launch watchdog budget in simulated cycles (0 = simulator default)")
 	fs.IntVar(&c.retries, "retries", 2, "retry attempts for transient launch failures")
-	fs.StringVar(&c.checkpoint, "checkpoint", "", "JSON file recording completed sweep points; re-running resumes from it")
-	fs.IntVar(&c.ckptFlush, "checkpoint-flush", 0, "save the checkpoint every N completed points (0 = default batching; 1 = every point)")
 	fs.StringVar(&c.faults, "faults", "", "deterministic fault-injection plan, e.g. 'seed=42;hang:prob=0.01;transient:prob=0.05'")
-	fs.BoolVar(&c.cacheStats, "cache-stats", false, "print the pipeline's per-stage artifact-cache counters after the experiments")
 	fs.BoolVar(&c.noCache, "no-cache", false, "disable content-addressed artifact caching (every stage recomputes)")
-	fs.StringVar(&c.cacheDir, "cache-dir", "", "persistent on-disk simulate-result cache directory (survives restarts; -no-cache disables it)")
+	fs.StringVar(&c.cacheDir, "cache-dir", "", "persistent on-disk simulate-result cache directory; re-running against it resumes (-no-cache disables it)")
 	fs.StringVar(&c.tracePath, "trace", "", "write per-launch spans as Chrome trace_event JSON to this file")
-	fs.BoolVar(&c.metrics, "metrics", false, "print the suite's metrics registry after the experiments")
-	fs.BoolVar(&c.metricsJSON, "metrics-json", false, "print the metrics registry as JSON (implies -metrics)")
+	fs.BoolVar(&c.metrics, "metrics", false, "print the suite's metrics registry to stderr after the experiments")
+	fs.BoolVar(&c.metricsJSON, "metrics-json", false, "print the metrics registry to stderr as JSON (implies -metrics)")
 	fs.BoolVar(&c.progress, "progress", false, "show a live per-sweep progress line on stderr")
 	fs.IntVar(&c.maxDomain, "max-domain", 0, "clamp every sweep domain to at most NxN (0 = no clamp)")
 }
@@ -289,8 +282,6 @@ func (c *cli) newSuite() (*core.Suite, error) {
 	s.Iterations = c.iters
 	s.Retries = c.retries
 	s.DeadlineCycles = c.timeout
-	s.Checkpoint = c.checkpoint
-	s.CheckpointFlushEvery = c.ckptFlush
 	s.DisableArtifactCache = c.noCache
 	s.PersistDir = c.cacheDir
 	s.MaxDomain = c.maxDomain
@@ -310,8 +301,8 @@ func (c *cli) newSuite() (*core.Suite, error) {
 	return s, nil
 }
 
-// epilogue finishes a run: trace export, cache stats, metrics, and the
-// failure summary. The return value is the exit status — 0 clean, 1 on
+// epilogue finishes a run: trace export, metrics (on stderr, so they
+// never mix into figure output), and the failure summary. The return value is the exit status — 0 clean, 1 on
 // an export error, 3 when sweeps completed around recorded failures.
 func (c *cli) epilogue(s *core.Suite) int {
 	if c.tracePath != "" {
@@ -319,9 +310,6 @@ func (c *cli) epilogue(s *core.Suite) int {
 			fmt.Fprintf(c.errOut, "amdmb: -trace: %v\n", err)
 			return 1
 		}
-	}
-	if c.cacheStats {
-		fmt.Fprintln(c.out, s.CacheStats().Format())
 	}
 	if c.metrics || c.metricsJSON {
 		snap := s.Metrics().Snapshot()
@@ -331,9 +319,9 @@ func (c *cli) epilogue(s *core.Suite) int {
 				fmt.Fprintf(c.errOut, "amdmb: -metrics-json: %v\n", err)
 				return 1
 			}
-			fmt.Fprintln(c.out, string(data))
+			fmt.Fprintln(c.errOut, string(data))
 		} else {
-			fmt.Fprintln(c.out, snap.Format())
+			fmt.Fprintln(c.errOut, snap.Format())
 		}
 	}
 	if failures := s.Failures(); len(failures) > 0 {

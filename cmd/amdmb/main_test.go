@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -114,27 +113,60 @@ func TestInjectedHangProducesFailureSummary(t *testing.T) {
 	}
 }
 
+// metricsOf decodes the -metrics-json registry a run wrote to stderr
+// into counter name -> value.
+func metricsOf(t *testing.T, stderr string) map[string]int64 {
+	t.Helper()
+	idx := strings.Index(stderr, "{")
+	if idx < 0 {
+		t.Fatalf("no metrics JSON on stderr:\n%s", stderr)
+	}
+	var snap struct {
+		Counters []struct {
+			Name  string `json:"name"`
+			Value int64  `json:"value"`
+		} `json:"counters"`
+	}
+	if err := json.NewDecoder(strings.NewReader(stderr[idx:])).Decode(&snap); err != nil {
+		t.Fatalf("-metrics-json output is not valid JSON: %v", err)
+	}
+	counters := map[string]int64{}
+	for _, c := range snap.Counters {
+		counters[c.Name] = c.Value
+	}
+	return counters
+}
+
 func TestCheckpointResumeEndToEnd(t *testing.T) {
-	ck := filepath.Join(t.TempDir(), "ck.json")
-	// First run records a timeout failure; completed points checkpoint.
-	code, _, stderr := runCLI(t,
-		"-iters", "1", "-timeout", "1048576", "-checkpoint", ck,
-		"-faults", "hang:prob=1,match=writelat_o3",
-		"fig13")
+	cache := t.TempDir()
+	// The watchdog budget is part of the persist key: every run holds it.
+	base := []string{"-iters", "1", "-timeout", "1048576", "-cache-dir", cache, "-metrics-json"}
+	// First run records timeout failures; completed points persist.
+	code, _, stderr := runCLI(t, append(base, "-faults", "hang:prob=1,match=writelat_o3", "fig13")...)
 	if code != 3 {
 		t.Fatalf("first run exit %d, stderr: %s", code, stderr)
 	}
-	// Re-run without faults resumes and fills in the failed points.
-	code, out, stderr := runCLI(t, "-iters", "1", "-checkpoint", ck, "fig13")
+	first := metricsOf(t, stderr)
+	written, failed := first["pipeline.persist.writes"], first["core.sweep.points.failed"]
+	if written == 0 || failed == 0 {
+		t.Fatalf("first run persisted %d points and failed %d; want both nonzero", written, failed)
+	}
+	// Re-run without faults resumes: only the failed points compute.
+	code, out, stderr := runCLI(t, append(base, "fig13")...)
 	if code != 0 {
 		t.Fatalf("resume exit %d, stderr: %s", code, stderr)
 	}
 	if strings.Contains(out, "Failure summary") {
 		t.Errorf("resume still reports failures:\n%s", out)
 	}
+	m := metricsOf(t, stderr)
+	if m["pipeline.persist.hits"] != written || m["pipeline.persist.misses"] != failed {
+		t.Errorf("resume served %d and computed %d points, want %d served and %d computed",
+			m["pipeline.persist.hits"], m["pipeline.persist.misses"], written, failed)
+	}
 	// The resumed figure is identical to a clean run's.
-	_, clean, _ := runCLI(t, "-iters", "1", "-csv", "fig13")
-	_, resumed, _ := runCLI(t, "-iters", "1", "-csv", "-checkpoint", ck, "fig13")
+	_, clean, _ := runCLI(t, "-iters", "1", "-timeout", "1048576", "-csv", "fig13")
+	_, resumed, _ := runCLI(t, "-iters", "1", "-timeout", "1048576", "-csv", "-cache-dir", cache, "fig13")
 	if clean != resumed {
 		t.Errorf("resumed CSV differs from clean run:\n%s\nvs\n%s", resumed, clean)
 	}
@@ -174,21 +206,6 @@ func TestWriteFigureFiles(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
 			t.Errorf("missing %s: %v", f, err)
 		}
-	}
-}
-
-func TestCacheStatsFlag(t *testing.T) {
-	code, out, stderr := runCLI(t, "-cache-stats", "-iters", "1", "fig7")
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, stderr)
-	}
-	for _, want := range []string{"Pipeline artifact caches", "compile", "replay", "simulate"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("-cache-stats output missing %q:\n%s", want, out)
-		}
-	}
-	if !strings.Contains(out, "enabled") {
-		t.Errorf("-cache-stats should report caching enabled:\n%s", out)
 	}
 }
 
@@ -270,58 +287,12 @@ func TestMetricsFlagReportsCacheAndSweepCounters(t *testing.T) {
 		"core.sweep.points.completed", "cal.launches",
 		"pipeline.compile.compute_latency_ns",
 	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("-metrics output missing %q:\n%s", want, out)
+		if !strings.Contains(stderr, want) {
+			t.Errorf("-metrics stderr missing %q:\n%s", want, stderr)
 		}
 	}
-}
-
-func TestMetricsJSONMatchesCacheStats(t *testing.T) {
-	code, out, stderr := runCLI(t, "-iters", "1", "-metrics-json", "-cache-stats", "fig13")
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, stderr)
-	}
-	// Output is the cache-stats table followed by the metrics JSON
-	// object; the JSON starts at the first '{'.
-	idx := strings.Index(out, "{")
-	if idx < 0 {
-		t.Fatalf("no JSON in output:\n%s", out)
-	}
-	var snap struct {
-		Counters []struct {
-			Name  string `json:"name"`
-			Value int64  `json:"value"`
-		} `json:"counters"`
-	}
-	if err := json.Unmarshal([]byte(out[idx:]), &snap); err != nil {
-		t.Fatalf("-metrics-json output is not valid JSON: %v", err)
-	}
-	counters := map[string]int64{}
-	for _, c := range snap.Counters {
-		counters[c.Name] = c.Value
-	}
-	// The cache-stats table and the metrics registry read the same
-	// counters; spot-check that the table's simulate hits/misses appear
-	// verbatim in the JSON. The table row looks like:
-	//   simulate  <hits>  <misses> ...
-	simHits, ok := counters["pipeline.simulate.hits"]
-	if !ok {
-		t.Fatal("metrics JSON lacks pipeline.simulate.hits")
-	}
-	simMisses := counters["pipeline.simulate.misses"]
-	found := false
-	for _, line := range strings.Split(out[:idx], "\n") {
-		fields := strings.Fields(line)
-		if len(fields) > 2 && fields[0] == "simulate" {
-			found = true
-			if fields[1] != strconv.FormatInt(simHits, 10) || fields[2] != strconv.FormatInt(simMisses, 10) {
-				t.Errorf("cache-stats simulate row %v != metrics hits=%d misses=%d",
-					fields[1:3], simHits, simMisses)
-			}
-		}
-	}
-	if !found {
-		t.Errorf("cache-stats table has no simulate row:\n%s", out[:idx])
+	if strings.Contains(out, "pipeline.") {
+		t.Errorf("-metrics leaked into figure output:\n%s", out)
 	}
 }
 
@@ -347,13 +318,17 @@ func TestMaxDomainClampsSweeps(t *testing.T) {
 	if len(lines) < 33 {
 		t.Fatalf("clamped fig7 CSV has %d lines, want >= 33:\n%s", len(lines), out)
 	}
-	// A clamped domain must not resume a full-domain checkpoint.
-	ck := filepath.Join(t.TempDir(), "ck.json")
-	if code, _, stderr := runCLI(t, "-iters", "1", "-checkpoint", ck, "fig13"); code != 0 {
+	// A clamped domain must not resume full-domain results.
+	cache := t.TempDir()
+	if code, _, stderr := runCLI(t, "-iters", "1", "-cache-dir", cache, "fig13"); code != 0 {
 		t.Fatalf("full-domain run exit %d, stderr: %s", code, stderr)
 	}
-	if code, _, stderr := runCLI(t, "-iters", "1", "-checkpoint", ck, "-max-domain", "16", "-metrics", "fig13"); code != 0 {
+	code, _, stderr = runCLI(t, "-iters", "1", "-cache-dir", cache, "-max-domain", "16", "-metrics-json", "fig13")
+	if code != 0 {
 		t.Fatalf("clamped run exit %d, stderr: %s", code, stderr)
+	}
+	if hits := metricsOf(t, stderr)["pipeline.persist.hits"]; hits != 0 {
+		t.Errorf("clamped run served %d full-domain results from the cache", hits)
 	}
 }
 
@@ -368,12 +343,5 @@ func TestNoCacheFlagMatchesCachedOutput(t *testing.T) {
 	}
 	if cached != uncached {
 		t.Error("-no-cache changed figure output; caching must be invisible in results")
-	}
-	code, out, stderr := runCLI(t, "-cache-stats", "-no-cache", "-iters", "1", "fig7")
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, stderr)
-	}
-	if !strings.Contains(out, "disabled") {
-		t.Errorf("-cache-stats with -no-cache should report caching disabled:\n%s", out)
 	}
 }

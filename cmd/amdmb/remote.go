@@ -129,8 +129,8 @@ func runRemoteCampaign(base string, names []string, archs []string, c *cli) int 
 		_, _ = c.out.Write(fbody)
 		fmt.Fprintln(c.out)
 	}
-	fmt.Fprintf(c.errOut, "campaign: figures=%d units=%d deduped=%d executed=%d restored=%d failed=%d (remote %s)\n",
-		len(names), st.Units, st.Deduped, st.Executed, st.Units-st.Executed, st.FailedUnits, st.ID)
+	fmt.Fprintf(c.errOut, "campaign: figures=%d units=%d deduped=%d executed=%d failed=%d (remote %s)\n",
+		len(names), st.Units, st.Deduped, st.Executed, st.FailedUnits, st.ID)
 	if st.FailedUnits > 0 {
 		fmt.Fprintf(c.errOut, "amdmb: %d unit(s) failed and were recorded; campaign completed\n", st.FailedUnits)
 		return 3

@@ -1,67 +1,73 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// TestCampaignShardsMergeToGoldens is the sharding acceptance test: the
-// golden bundle split across two shard processes, each writing its own
-// checkpoint under the full campaign's signature, then an unsharded run
-// that merges the shard files and restores everything — emitting stdout
-// byte-identical to the concatenated golden CSVs while executing zero
-// units itself.
-func TestCampaignShardsMergeToGoldens(t *testing.T) {
-	ck := filepath.Join(t.TempDir(), "ck.json")
-	figs := strings.Join(goldenFigures, ",")
-
-	for shard := 0; shard < 2; shard++ {
-		spec := fmt.Sprintf("%d/2", shard)
-		code, out, stderr := runCLI(t,
-			"campaign", "-figs", figs, "-iters", "1", "-checkpoint", ck, "-shard", spec)
-		if code != 0 {
-			t.Fatalf("shard %s: exit %d, stderr: %s", spec, code, stderr)
+// runShards runs every shard of an n-way campaign concurrently, each
+// writing through to the one shared cache directory, and fails the test
+// unless every shard exits cleanly, emits no figures and reports its
+// summary on stderr.
+func runShards(t *testing.T, n int, args ...string) {
+	t.Helper()
+	type result struct {
+		code           int
+		stdout, stderr string
+	}
+	results := make([]result, n)
+	var wg sync.WaitGroup
+	for shard := 0; shard < n; shard++ {
+		wg.Add(1)
+		go func(shard int) {
+			defer wg.Done()
+			var out, errOut bytes.Buffer
+			argv := append(append([]string{}, args...), "-shard", fmt.Sprintf("%d/%d", shard, n))
+			code := run(argv, &out, &errOut)
+			results[shard] = result{code, out.String(), errOut.String()}
+		}(shard)
+	}
+	wg.Wait()
+	for shard, r := range results {
+		spec := fmt.Sprintf("%d/%d", shard, n)
+		if r.code != 0 {
+			t.Fatalf("shard %s: exit %d, stderr: %s", spec, r.code, r.stderr)
 		}
-		if out != "" {
-			t.Errorf("shard %s emitted figures; shards must only checkpoint:\n%s", spec, out)
+		if r.stdout != "" {
+			t.Errorf("shard %s emitted figures; shards only persist:\n%s", spec, r.stdout)
 		}
-		if !strings.Contains(stderr, "campaign shard "+spec+":") {
-			t.Errorf("shard %s summary missing: %s", spec, stderr)
-		}
-		if !strings.Contains(stderr, "failed=0") {
-			t.Errorf("shard %s recorded failures: %s", spec, stderr)
-		}
-		if _, err := os.Stat(fmt.Sprintf("%s.shard%dof2", ck, shard)); err != nil {
-			t.Fatalf("shard %s wrote no checkpoint: %v", spec, err)
+		if !strings.Contains(r.stderr, "campaign shard "+spec+":") || !strings.Contains(r.stderr, "failed=0") {
+			t.Errorf("shard %s summary missing or records failures: %s", spec, r.stderr)
 		}
 	}
+}
+
+// TestCampaignShardsMergeToGoldens is the sharding acceptance test: the
+// golden bundle split across two concurrent shards sharing one
+// -cache-dir, then an unsharded run over the same directory that
+// computes nothing — every simulation is served from disk — and emits
+// stdout byte-identical to the concatenated golden CSVs.
+func TestCampaignShardsMergeToGoldens(t *testing.T) {
+	cache := t.TempDir()
+	figs := strings.Join(goldenFigures, ",")
+	runShards(t, 2, "campaign", "-figs", figs, "-iters", "1", "-cache-dir", cache)
 
 	code, out, stderr := runCLI(t,
-		"campaign", "-figs", figs, "-iters", "1", "-csv", "-checkpoint", ck)
+		"campaign", "-figs", figs, "-iters", "1", "-csv", "-cache-dir", cache, "-metrics-json")
 	if code != 0 {
 		t.Fatalf("merge run: exit %d, stderr: %s", code, stderr)
 	}
-	if !strings.Contains(stderr, "shard checkpoints into") {
-		t.Errorf("merge run did not report merging: %s", stderr)
-	}
-	// Everything restores from the merged shards; nothing re-executes.
-	if !strings.Contains(stderr, "executed=0") {
-		t.Errorf("merge run re-executed units: %s", stderr)
+	m := metricsOf(t, stderr)
+	if m["pipeline.persist.misses"] != 0 || m["pipeline.persist.hits"] == 0 {
+		t.Errorf("merge run computed %d simulations and served %d; want 0 computed",
+			m["pipeline.persist.misses"], m["pipeline.persist.hits"])
 	}
 
-	var want strings.Builder
-	for _, fig := range goldenFigures {
-		data, err := os.ReadFile(filepath.Join("testdata", "golden", fig+".csv"))
-		if err != nil {
-			t.Fatalf("%v (run `go test ./cmd/amdmb -run TestGoldenFigureCSVs -update-goldens` to pin)", err)
-		}
-		want.Write(data)
-	}
-	if out != want.String() {
-		t.Errorf("sharded+merged campaign stdout diverges from goldens:\n%s", firstDiff(want.String(), out))
+	if want := concatenatedGoldens(t); out != want {
+		t.Errorf("sharded+merged campaign stdout diverges from goldens:\n%s", firstDiff(want, out))
 	}
 }
 
@@ -72,10 +78,11 @@ func TestCampaignShardUsage(t *testing.T) {
 		args []string
 		want string
 	}{
-		{"no checkpoint", []string{"campaign", "-figs", "fig16", "-shard", "0/2"}, "requires -checkpoint"},
-		{"bad format", []string{"campaign", "-figs", "fig16", "-checkpoint", "x", "-shard", "2"}, "bad -shard"},
-		{"out of range", []string{"campaign", "-figs", "fig16", "-checkpoint", "x", "-shard", "2/2"}, "bad -shard"},
-		{"negative", []string{"campaign", "-figs", "fig16", "-checkpoint", "x", "-shard", "-1/2"}, "bad -shard"},
+		{"no cache dir", []string{"campaign", "-figs", "fig16", "-shard", "0/2"}, "requires -cache-dir"},
+		{"no-cache", []string{"campaign", "-figs", "fig16", "-cache-dir", "x", "-no-cache", "-shard", "0/2"}, "requires -cache-dir"},
+		{"bad format", []string{"campaign", "-figs", "fig16", "-cache-dir", "x", "-shard", "2"}, "bad -shard"},
+		{"out of range", []string{"campaign", "-figs", "fig16", "-cache-dir", "x", "-shard", "2/2"}, "bad -shard"},
+		{"negative", []string{"campaign", "-figs", "fig16", "-cache-dir", "x", "-shard", "-1/2"}, "bad -shard"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -63,7 +63,7 @@ func runSoak(argv []string, stdout, stderr io.Writer) int {
 	fs.DurationVar(&c.duration, "duration", 0, "stop the campaign after this long (checked between steps)")
 	fs.IntVar(&c.kernels, "kernels", 0, "sweep width per step (0 = 4)")
 	fs.StringVar(&c.faults, "faults", "", "deterministic fault-injection plan (see -faults on the main command)")
-	fs.IntVar(&c.killEvery, "kill-every", 0, "make every Nth step a kill/checkpoint/resume cycle (0 = off)")
+	fs.IntVar(&c.killEvery, "kill-every", 0, "make every Nth step a kill/resume cycle (0 = off)")
 	fs.IntVar(&c.churn, "churn", 0, "goroutines churning the artifact caches during each sweep (0 = off)")
 	fs.IntVar(&c.workers, "workers", 0, "sweep parallelism (0 = GOMAXPROCS)")
 	fs.IntVar(&c.retries, "retries", 0, "retry attempts for transient launch failures (0 = 2)")
@@ -71,7 +71,7 @@ func runSoak(argv []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&c.trace, "trace", true, "arm the span tracer and trace-consistency oracle (disable for hours-long runs)")
 	fs.BoolVar(&c.failFast, "fail-fast", false, "stop the campaign at the first oracle violation")
 	fs.StringVar(&c.bundleDir, "bundles", "", "write repro bundles for oracle violations under this directory")
-	fs.StringVar(&c.scratch, "scratch", "", "directory for kill/resume checkpoints (default: a temp dir)")
+	fs.StringVar(&c.scratch, "scratch", "", "directory for kill/resume cache dirs (default: a temp dir)")
 	fs.IntVar(&c.plan, "plan", 0, "print the first N campaign steps and exit without running")
 	fs.StringVar(&c.replay, "replay", "", "replay a repro bundle directory and exit")
 	fs.IntVar(&c.torture, "torture", 0, "run N SIGKILL/resume cycles against child amdmb sweeps and exit")
@@ -131,7 +131,8 @@ func (c *soakCLI) runCampaign(cfg soak.Config) int {
 	}
 	fmt.Fprintf(c.out, "soak: seed=%d steps=%d points=%d failures=%d kills=%d launches=%d violations=%d\n",
 		rep.Seed, rep.Steps, rep.Points, rep.Failures, rep.Kills, rep.Launches, len(rep.Violations))
-	fmt.Fprintf(c.errOut, "soak: %v elapsed, %d kernels churned\n", rep.Elapsed.Round(time.Millisecond), rep.Churned)
+	fmt.Fprintf(c.errOut, "soak: %v elapsed, %d kernels churned, %d points served on resume\n",
+		rep.Elapsed.Round(time.Millisecond), rep.Churned, rep.Resumed)
 	if rep.Ok() {
 		return 0
 	}
@@ -160,10 +161,12 @@ func (c *soakCLI) runReplay(cfg soak.Config) int {
 	}
 }
 
-// runTorture SIGKILLs child amdmb sweeps mid-checkpoint and verifies
-// the survivor's figure CSV is bit-identical to an uninterrupted run
-// with zero quarantined checkpoints. The child sweep is fig7 at smoke
-// scale: enough points (dozens) for several kills to land mid-sweep.
+// runTorture SIGKILLs child amdmb sweeps mid-write and verifies the
+// survivor's figure CSV is bit-identical to an uninterrupted run with
+// every persisted entry readable. The children share one -cache-dir, so
+// each resumes from what the killed ones wrote. The child sweep is fig7
+// at smoke scale: enough points (dozens) for several kills to land
+// mid-sweep.
 func (c *soakCLI) runTorture() int {
 	self, err := os.Executable()
 	if err != nil {
@@ -184,37 +187,33 @@ func (c *soakCLI) runTorture() int {
 	if maxDomain <= 0 {
 		maxDomain = 48
 	}
-	ck := filepath.Join(scratch, "torture.ckpt")
+	cache := filepath.Join(scratch, "torture.cache")
 	tortured := filepath.Join(scratch, "tortured")
 	reference := filepath.Join(scratch, "reference")
 
-	// -checkpoint-flush 1: the harness watches checkpoint growth to time
-	// its kills, and every per-point save is another instant to tear;
-	// batched saves would both coarsen the kill windows and let the last
-	// batch race the child's exit.
-	childArgs := func(ckpt, outDir string) []string {
+	childArgs := func(cacheDir, outDir string) []string {
 		return []string{
 			"-iters", "1", "-max-domain", fmt.Sprint(maxDomain),
-			"-retries", "2", "-checkpoint", ckpt, "-checkpoint-flush", "1",
+			"-retries", "2", "-cache-dir", cacheDir,
 			"-csv", "-o", outDir, "fig7",
 		}
 	}
 	res, err := soak.Torture(soak.TortureConfig{
 		NewChild: func(cycle int) *exec.Cmd {
-			cmd := exec.Command(self, childArgs(ck, tortured)...)
+			cmd := exec.Command(self, childArgs(cache, tortured)...)
 			cmd.Stderr = c.errOut
 			return cmd
 		},
-		Checkpoint: ck,
-		Cycles:     c.torture,
-		Out:        c.errOut,
+		CacheDir: cache,
+		Cycles:   c.torture,
+		Out:      c.errOut,
 	})
 	if err != nil {
 		fmt.Fprintf(c.errOut, "amdmb soak: -torture: %v\n", err)
 		return 1
 	}
 
-	ref := exec.Command(self, childArgs(filepath.Join(scratch, "reference.ckpt"), reference)...)
+	ref := exec.Command(self, childArgs(filepath.Join(scratch, "reference.cache"), reference)...)
 	ref.Stderr = c.errOut
 	if err := ref.Run(); err != nil {
 		fmt.Fprintf(c.errOut, "amdmb soak: -torture reference run: %v\n", err)
@@ -227,9 +226,9 @@ func (c *soakCLI) runTorture() int {
 		return 1
 	}
 	identical := bytes.Equal(a, b)
-	fmt.Fprintf(c.out, "torture: kills=%d clean_exits=%d restored=%d quarantined=%d identical=%v\n",
-		res.Kills, res.CleanExits, res.Restored, res.Quarantined, identical)
-	if res.Quarantined != 0 || !identical {
+	fmt.Fprintf(c.out, "torture: kills=%d clean_exits=%d restored=%d unreadable=%d identical=%v\n",
+		res.Kills, res.CleanExits, res.Restored, res.Unreadable, identical)
+	if res.Unreadable != 0 || !identical {
 		return 4
 	}
 	return 0

@@ -12,11 +12,10 @@
 // The iteration count is fixed per daemon (-iters; 0 means the paper's
 // 5000) because it is part of every cache identity — clients asking for
 // a different count are rejected with 400 rather than silently served
-// mismatched numbers. The daemon runs with no checkpoint file (the
-// persistent pipeline cache is its durability story — unlike a
-// checkpoint, it is keyed per simulate config, so any mix of concurrent
-// campaigns shares it safely) and no tracer (unbounded on a long-lived
-// process).
+// mismatched numbers. The persistent pipeline cache (-cache-dir) is its
+// durability story: it is keyed per simulate config, so any mix of
+// concurrent campaigns shares it safely. The daemon runs with no tracer
+// (unbounded on a long-lived process).
 //
 // Exit status: 0 after a clean signal-driven shutdown, 1 on a fatal
 // serve error, 2 on usage errors.

@@ -22,11 +22,11 @@
 // pipeline executions the campaign avoids versus running each figure's
 // sweep on its own; `campaign.points.deduped` surfaces the total.
 //
-// Scheduling a campaign as ONE sweep also makes checkpointing campaign-
-// granular for free: the whole multi-figure unit sequence runs through a
-// single core.Suite sweep, so the existing crash-atomic, quarantining
-// JSON checkpoint covers the campaign end to end — there is no second,
-// weaker checkpoint writer in this package.
+// Resume and sharding need nothing from this package: every unit's
+// launch writes through the suite's content-addressed simulate tier
+// (core.Suite.PersistDir), so re-running a killed campaign, or the
+// unsharded campaign after its shards, against the same directory
+// serves finished units from disk.
 package campaign
 
 import (
@@ -52,8 +52,8 @@ type Spec struct {
 type Options struct {
 	// MaxDomain, when positive, clamps every point's domain to at most
 	// MaxDomain x MaxDomain at plan time — before dedup keys and the
-	// scheduled order (hence the checkpoint signature) are computed, so a
-	// clamped campaign dedups collapsed domains and resumes consistently.
+	// scheduled order (hence the shard partition) are computed, so a
+	// clamped campaign dedups collapsed domains.
 	// Run the plan on a suite with the same MaxDomain; the suite-level
 	// clamp is then a no-op.
 	MaxDomain int
@@ -211,9 +211,9 @@ func NewPlan(specs []Spec, opts Options) (*Plan, error) {
 // and the most-reused compile artifacts warm the cache first), then
 // arch-major batches for device-context locality, then a total
 // deterministic order over the remaining key fields. Determinism is
-// load-bearing, not cosmetic: the scheduled sequence is what the
-// campaign checkpoint signature fingerprints, so replanning the same
-// specs must reproduce the same order for a resume to attach.
+// load-bearing, not cosmetic: shards partition the scheduled sequence
+// by index, so every shard process replanning the same specs must
+// reproduce the same order for the shards to cover each unit once.
 func (p *Plan) prioritize() {
 	idx := make([]int, len(p.Units))
 	for i := range idx {

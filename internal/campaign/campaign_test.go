@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"errors"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -125,8 +124,8 @@ func TestPlanLaunchDedup(t *testing.T) {
 }
 
 // TestPlanDeterministic replans the same bundle on fresh suites and
-// demands an identical rendered schedule — the property the campaign
-// checkpoint signature stands on.
+// demands an identical rendered schedule — the property the shard
+// partition stands on.
 func TestPlanDeterministic(t *testing.T) {
 	render := func() string {
 		var b strings.Builder
@@ -193,7 +192,7 @@ func TestCampaignMatchesSequential(t *testing.T) {
 		t.Errorf("clausectl diverged from sequential run:\ncampaign:\n%s\nsequential:\n%s", got, want)
 	}
 	if res.Executed != len(p.Units) {
-		t.Fatalf("executed %d of %d units with no checkpoint armed", res.Executed, len(p.Units))
+		t.Fatalf("executed %d of %d units", res.Executed, len(p.Units))
 	}
 }
 
@@ -228,16 +227,19 @@ func TestCampaignCounters(t *testing.T) {
 }
 
 // TestCampaignCheckpointResume kills a campaign mid-flight and resumes
-// it: the resumed invocation must restore the finished units from the
-// (single, crash-atomic) sweep checkpoint, execute strictly fewer units
-// than the plan, and still produce sequential-identical figures.
+// it over the same persist directory: the resumed invocation must serve
+// exactly the units the killed one finished from disk, compute only the
+// rest, and still produce sequential-identical figures.
 func TestCampaignCheckpointResume(t *testing.T) {
 	const clamp = 64
-	ckpt := filepath.Join(t.TempDir(), "campaign.ckpt")
+	dir := t.TempDir()
 
+	// The persist tier sits under the artifact caches, which testSuite
+	// turns off; the campaign's resume needs them on.
 	victim := testSuite(clamp)
 	victim.Workers = 2
-	victim.Checkpoint = ckpt
+	victim.DisableArtifactCache = false
+	victim.PersistDir = dir
 	var launches atomic.Int64
 	victim.BeforeLaunch = func() {
 		if launches.Add(1) == 6 {
@@ -248,16 +250,27 @@ func TestCampaignCheckpointResume(t *testing.T) {
 	if _, err := vp.Run(victim); !errors.Is(err, core.ErrSweepInterrupted) {
 		t.Fatalf("victim campaign: got %v, want ErrSweepInterrupted", err)
 	}
+	finished := victim.Metrics().Snapshot().Get("pipeline.persist.writes")
+	if finished == 0 {
+		t.Fatal("the killed campaign persisted nothing")
+	}
 
 	resumed := testSuite(clamp)
-	resumed.Checkpoint = ckpt
+	resumed.DisableArtifactCache = false
+	resumed.PersistDir = dir
 	rp := mustPlan(t, resumed, Options{MaxDomain: clamp}, "fig16", "clausectl")
 	res, err := rp.Run(resumed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Executed >= len(rp.Units) {
-		t.Fatalf("resume executed all %d units — checkpoint restored nothing", len(rp.Units))
+	snap := resumed.Metrics().Snapshot()
+	hits, misses := snap.Get("pipeline.persist.hits"), snap.Get("pipeline.persist.misses")
+	if hits != finished || misses == 0 || misses != snap.Get("pipeline.persist.writes") {
+		t.Fatalf("resume served %d and computed %d units (wrote %d), want %d served and the rest computed once",
+			hits, misses, snap.Get("pipeline.persist.writes"), finished)
+	}
+	if res.Executed != len(rp.Units) {
+		t.Fatalf("resume resolved %d of %d units", res.Executed, len(rp.Units))
 	}
 
 	direct16, _, err := testSuite(clamp).Fig16()

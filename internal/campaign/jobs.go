@@ -24,7 +24,7 @@ import (
 // pipeline's content-addressed stores dedup artifacts ACROSS concurrent
 // jobs (two clients sweeping overlapping figures compile and simulate
 // shared points once), and per-job contexts cancel one campaign without
-// touching its neighbors (Plan.RunCtx / RunKernelPointsShardedCtx).
+// touching its neighbors (Plan.RunCtx / core.Suite.RunPoints).
 //
 // Job metrics, on the suite's shared registry:
 //

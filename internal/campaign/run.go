@@ -19,8 +19,7 @@ import (
 //	                            (all three DAG levels; Stats.DedupedTotal)
 //	campaign.points.fanout    — figure points served by fanning units out
 //	campaign.units.planned    — launch units scheduled
-//	campaign.units.executed   — units that actually ran (not restored
-//	                            from the campaign checkpoint)
+//	campaign.units.executed   — units the sweep resolved
 //	campaign.units.completed  — executed units that resolved cleanly
 //	campaign.units.failed     — executed units that resolved to a
 //	                            failure record
@@ -35,12 +34,11 @@ type Result struct {
 	// and X are the representative subscriber's.
 	UnitRuns []core.Run
 	Stats    Stats
-	// Executed counts units that ran this invocation; Scheduled minus
-	// Executed were restored from the campaign checkpoint.
+	// Executed counts the units this invocation ran: every unit when
+	// unsharded, the shard's interleaved slice otherwise. A unit whose
+	// result the persist tier already held still runs; only its
+	// simulation is served from disk.
 	Executed int
-	// Scheduled counts the units this invocation was responsible for:
-	// every unit when unsharded, the shard's interleaved slice otherwise.
-	Scheduled int
 	// Shard/Shards record the partition this result covers; 0/1 means
 	// the whole campaign.
 	Shard, Shards int
@@ -59,12 +57,10 @@ func (r *Result) Failed() int {
 
 // Run executes the plan on the suite as ONE resilient sweep over the
 // deduplicated units, then fans every unit's run back out to its
-// subscribing figure points and finishes each spec's figure. Because the
-// whole campaign is a single sweep, the suite's checkpoint (when armed)
-// is campaign-granular: a kill mid-campaign resumes across figure
-// boundaries through the existing crash-atomic save path, and the
-// deterministic unit order keeps the sweep signature stable between the
-// killed and resumed invocations.
+// subscribing figure points and finishes each spec's figure. A kill
+// mid-campaign resumes through the suite's persist tier: re-running the
+// campaign against the same PersistDir serves every unit the killed
+// invocation finished from disk.
 //
 // Fan-out copies the unit's run per subscriber, overriding Card and X
 // with the subscriber's own coordinates (dedup must not relabel a
@@ -89,15 +85,13 @@ func (p *Plan) RunCtx(ctx context.Context, s *core.Suite, progress func(executed
 }
 
 // RunShard executes one shard of the plan: of the scheduled unit
-// sequence, only units with index i%shards == shard run. The shard's
-// checkpoint (the suite's, when armed) records its runs at their GLOBAL
-// unit indices under the full campaign's signature, so shard files
-// merge (core.MergeCheckpoints) into a checkpoint the unsharded run
-// restores completely — producing figures byte-identical to a run that
-// never sharded. Because one shard holds only a slice of every figure's
-// points, RunShard assembles no figures: Result.Figures and Result.Runs
-// stay nil, and the caller combines shards through the checkpoint, not
-// by stitching partial figures.
+// sequence, only units with index i%shards == shard run. Shards combine
+// through a shared persist tier: run them (concurrently or not) on
+// suites with the same PersistDir, and the unsharded run of the same
+// plan serves every unit from disk — producing figures byte-identical
+// to a run that never sharded. Because one shard holds only a slice of
+// every figure's points, RunShard assembles no figures: Result.Figures
+// and Result.Runs stay nil.
 func (p *Plan) RunShard(s *core.Suite, shard, shards int) (*Result, error) {
 	if shards < 1 || shard < 0 || shard >= shards {
 		return nil, fmt.Errorf("campaign: shard %d/%d out of range", shard, shards)
@@ -126,23 +120,15 @@ func (p *Plan) runShard(ctx context.Context, s *core.Suite, shard, shards int, p
 	}
 	defer root.End()
 
-	// Every shard builds the FULL unit list: the sweep signature — hence
-	// the checkpoint identity — must cover the whole campaign.
+	// Every shard builds the FULL unit list so unit indices — hence the
+	// interleaved partition — agree across shards.
 	kps := make([]core.KernelPoint, len(p.Units))
 	for i, u := range p.Units {
 		kps[i] = u.Point
 	}
-	scheduled := 0
-	for i := range kps {
-		if shards <= 1 || i%shards == shard {
-			scheduled++
-		}
-	}
 
 	// The observe hook runs on worker goroutines: counters are atomic and
-	// the tracer is concurrency-safe, so no extra locking here. Restored
-	// units are never observed, which is exactly what makes
-	// campaign.units.executed the "ran this invocation" count.
+	// the tracer is concurrency-safe, so no extra locking here.
 	var executed, failedUnits atomic.Int64
 	observe := func(i int) func(core.Run) {
 		executed.Add(1)
@@ -166,22 +152,21 @@ func (p *Plan) runShard(ctx context.Context, s *core.Suite, shard, shards int, p
 		}
 	}
 
-	unitRuns, err := s.RunKernelPointsShardedCtx(ctx, kps, observe, shard, shards)
+	unitRuns, err := s.RunPoints(ctx, kps, observe, shard, shards)
 	if err != nil {
 		return nil, err
 	}
 
 	res := &Result{
-		UnitRuns:  unitRuns,
-		Stats:     p.Stats,
-		Executed:  int(executed.Load()),
-		Scheduled: scheduled,
-		Shard:     shard,
-		Shards:    shards,
+		UnitRuns: unitRuns,
+		Stats:    p.Stats,
+		Executed: int(executed.Load()),
+		Shard:    shard,
+		Shards:   shards,
 	}
 	if shards > 1 {
 		// A shard holds only a slice of every figure; figures assemble
-		// from the merged checkpoint in the follow-up unsharded run.
+		// in the follow-up unsharded run, served from the persist tier.
 		return res, nil
 	}
 	for si := range p.Specs {

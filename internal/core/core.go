@@ -135,16 +135,6 @@ type Suite struct {
 	// steady-state batch has not drained within it fails with
 	// cal.ErrKernelTimeout. Zero uses the simulator's default budget.
 	DeadlineCycles uint64
-	// Checkpoint, when non-empty, is a JSON file recording each completed
-	// sweep point as it finishes; an interrupted sweep re-run with the
-	// same configuration resumes from it instead of recomputing.
-	Checkpoint string
-	// CheckpointFlushEvery batches checkpoint saves: the file is
-	// rewritten every this-many completed points (and always when the
-	// sweep exits, on every path). Zero picks a small default; 1 saves
-	// per point. A kill between flushes loses at most the unflushed
-	// batch, which simply recomputes on resume.
-	CheckpointFlushEvery int
 	// Faults arms deterministic fault injection (see package fault) on
 	// every device context the suite opens.
 	Faults *fault.Plan
@@ -156,9 +146,12 @@ type Suite struct {
 	DisableArtifactCache bool
 	// PersistDir, when non-empty, attaches the pipeline's persistent
 	// on-disk simulate-result tier under this directory (`amdmb
-	// -cache-dir`, the daemon's restart-replay store). Results served
-	// from disk are bit-identical to recomputation. Set it before the
-	// first sweep; DisableArtifactCache turns it off too.
+	// -cache-dir`, the daemon's restart-replay store). It is the suite's
+	// only persistence: re-running an interrupted sweep against the same
+	// directory is a resume, and shards sharing one directory merge by
+	// construction. Results served from disk are bit-identical to
+	// recomputation. Set it before the first sweep; DisableArtifactCache
+	// turns it off too.
 	PersistDir string
 	// Tracer, when non-nil, records one span per kernel launch with the
 	// pipeline stages (generate/compile/trace/replay/simulate) nested
@@ -167,13 +160,13 @@ type Suite struct {
 	Tracer *obs.Tracer
 	// Progress, when non-nil, receives a live single-line sweep progress
 	// report (points done/total, failures, cache hit rate, ETA) during
-	// runPoints (`amdmb -progress`).
+	// RunPoints (`amdmb -progress`).
 	Progress io.Writer
 	// MaxDomain, when positive, clamps every sweep point's domain to at
 	// most MaxDomain x MaxDomain. Figures shrink accordingly; the knob
 	// exists so CI smoke runs (`amdmb -max-domain`) finish in seconds.
-	// The clamp applies before checkpoint signatures are computed, so a
-	// clamped sweep never resumes from a full-domain checkpoint.
+	// The clamped domain is part of the persist key, so a clamped sweep
+	// never resumes from full-domain results.
 	MaxDomain int
 	// BeforeLaunch, when non-nil, runs before every kernel launch (every
 	// attempt, every worker). The soak campaigns use it to Interrupt a
@@ -226,10 +219,6 @@ func (s *Suite) Pipeline() *pipeline.Pipeline {
 	return s.pipe
 }
 
-// CacheStats snapshots the shared pipeline's per-stage artifact-cache
-// counters (`amdmb -cache-stats`).
-func (s *Suite) CacheStats() pipeline.Stats { return s.Pipeline().Stats() }
-
 // Metrics returns the suite's metrics registry — the one the shared
 // pipeline, the cal contexts and the sweep runner all record into
 // (`amdmb -metrics`).
@@ -239,12 +228,10 @@ func (s *Suite) Metrics() *obs.Registry { return s.Pipeline().Metrics() }
 type sweepCounters struct {
 	completed   *obs.Counter // core.sweep.points.completed
 	failed      *obs.Counter // core.sweep.points.failed
-	restored    *obs.Counter // core.sweep.points.restored
 	retries     *obs.Counter // core.sweep.retries
 	backoffNS   *obs.Counter // core.sweep.backoff_ns
 	panics      *obs.Counter // core.sweep.panics
 	timeouts    *obs.Counter // core.sweep.timeouts
-	quarantined *obs.Counter // core.checkpoint.quarantined
 	interrupted *obs.Counter // core.sweep.interrupted
 }
 
@@ -255,12 +242,10 @@ func (s *Suite) counters() *sweepCounters {
 		s.ctr = &sweepCounters{
 			completed:   reg.Counter("core.sweep.points.completed"),
 			failed:      reg.Counter("core.sweep.points.failed"),
-			restored:    reg.Counter("core.sweep.points.restored"),
 			retries:     reg.Counter("core.sweep.retries"),
 			backoffNS:   reg.Counter("core.sweep.backoff_ns"),
 			panics:      reg.Counter("core.sweep.panics"),
 			timeouts:    reg.Counter("core.sweep.timeouts"),
-			quarantined: reg.Counter("core.checkpoint.quarantined"),
 			interrupted: reg.Counter("core.sweep.interrupted"),
 		}
 	})
@@ -325,7 +310,8 @@ func (s *Suite) Failures() []Run {
 }
 
 // KernelLaunches returns how many kernel launches the suite has issued,
-// retries included — the accounting checkpoint-resume tests rely on.
+// retries included. A launch served from the persist tier still counts:
+// resume tests read pipeline.persist.hits and misses instead.
 func (s *Suite) KernelLaunches() int64 { return s.launched.Load() }
 
 // Run is one timed kernel execution with its classification. A Run with

@@ -20,8 +20,9 @@ import (
 // (never more goroutines than workers, however large the sweep), panic
 // recovery into per-point failure records, bounded retry with backoff
 // for transient launch faults, cancellation of the remaining points on
-// the first fatal error, and JSON checkpointing so an interrupted sweep
-// resumes instead of recomputing.
+// the first fatal error. Resume is not the runner's concern: completed
+// launches persist through the pipeline's content-addressed simulate
+// tier (Suite.PersistDir), so a re-run serves them from disk.
 
 // point is one sweep job: a kernel to time on a card at an x coordinate.
 type point struct {
@@ -46,17 +47,15 @@ var errLaunchPanic = errors.New("panic during launch")
 
 // ErrSweepInterrupted reports that Interrupt cancelled the sweep before
 // every point completed. Points finished up to that moment are already
-// in the checkpoint (when one is armed), so a re-run with the same
-// configuration resumes rather than recomputes — the in-process half of
-// the kill/checkpoint/resume cycles the soak campaigns exercise.
+// in the persist tier (when PersistDir is set), so a re-run with the
+// same configuration serves them from disk — the in-process half of the
+// kill/resume cycles the soak campaigns exercise.
 var ErrSweepInterrupted = errors.New("core: sweep interrupted")
 
 // Interrupt cancels every in-flight sweep on the suite: undispatched
-// points are abandoned and runPoints returns ErrSweepInterrupted.
-// Points already dispatched complete (and checkpoint) normally, so an
-// interrupted sweep's checkpoint is always a consistent prefix of the
-// campaign. Safe from any goroutine; a suite with no sweep in flight
-// ignores it.
+// points are abandoned and RunPoints returns ErrSweepInterrupted.
+// Points already dispatched complete (and persist) normally. Safe from
+// any goroutine; a suite with no sweep in flight ignores it.
 func (s *Suite) Interrupt() {
 	s.intrMu.Lock()
 	defer s.intrMu.Unlock()
@@ -88,7 +87,7 @@ func (s *Suite) registerSweep(stop func()) (unregister func()) {
 // soak campaigns above all — put arbitrary generated kernels through the
 // resilient sweep runner with everything the paper sweeps get: worker
 // pool, retries with backoff, fault injection, panic fences, failure
-// records and checkpoint/resume.
+// records, and resume through the persist tier.
 type KernelPoint struct {
 	Card Card
 	X    float64
@@ -99,56 +98,15 @@ type KernelPoint struct {
 // RunKernelPoints times every point and returns the runs in input order,
 // with the same failure policy as the figure sweeps.
 func (s *Suite) RunKernelPoints(kps []KernelPoint) ([]Run, error) {
-	return s.RunKernelPointsObserved(kps, nil)
+	return s.RunPoints(context.Background(), kps, nil, 0, 1)
 }
 
-// RunKernelPointsObserved is RunKernelPoints with a per-point observation
-// hook: when observe is non-nil, it is called on the worker goroutine
-// just before point i's first launch attempt, and the function it
-// returns is called right after the point resolves (completed or failure
-// record). Points restored from a checkpoint are never observed — they
-// do not execute. The campaign scheduler uses the hook for per-unit
-// spans and unit-level counters without a second accounting path inside
-// the sweep runner.
-func (s *Suite) RunKernelPointsObserved(kps []KernelPoint, observe func(i int) func(Run)) ([]Run, error) {
-	return s.RunKernelPointsSharded(kps, observe, 0, 1)
-}
-
-// RunKernelPointsSharded is RunKernelPointsObserved restricted to one
-// shard of a deterministic interleaved partition: of the shared point
-// list, only points with index i%shards == shard execute. The returned
-// slice still has one entry per input point — non-shard entries are
-// zero Runs — and the checkpoint signature is computed over the FULL
-// point list, so every shard of a campaign binds to the same sweep
-// identity: shard checkpoint files record runs at their global indices
-// and merge cleanly (MergeCheckpoints) into a checkpoint an unsharded
-// run resumes from. shards <= 1 runs everything.
-func (s *Suite) RunKernelPointsSharded(kps []KernelPoint, observe func(i int) func(Run), shard, shards int) ([]Run, error) {
-	return s.RunKernelPointsShardedCtx(context.Background(), kps, observe, shard, shards)
-}
-
-// RunKernelPointsShardedCtx is RunKernelPointsSharded bound to a parent
-// context: cancelling ctx stops the sweep exactly like Suite.Interrupt —
-// undispatched points are abandoned, dispatched points complete and
-// checkpoint, and the sweep returns ErrSweepInterrupted. It exists for
-// callers multiplexing several independent sweeps over ONE shared suite
-// (the campaign daemon): Interrupt cancels every sweep in flight, a
-// context cancels just its own.
-func (s *Suite) RunKernelPointsShardedCtx(ctx context.Context, kps []KernelPoint, observe func(i int) func(Run), shard, shards int) ([]Run, error) {
-	if shards > 1 && (shard < 0 || shard >= shards) {
-		return nil, fmt.Errorf("core: shard %d out of range 0..%d", shard, shards-1)
-	}
-	pts := make([]point, len(kps))
-	for i, kp := range kps {
-		pts[i] = point{card: kp.Card, x: kp.X, k: kp.K, w: kp.W, h: kp.H}
-	}
-	return s.runPointsSharded(ctx, pts, observe, shard, shards)
-}
-
-// runPoints times every point and returns the runs in input order.
-// Device contexts are created up front so a bad card fails the sweep
-// before any worker starts; the context map itself is safe for
-// concurrent lookup and the contexts are read-only during launches.
+// RunPoints is the sweep runner every entry point funnels into: it times
+// the points of one shard of a deterministic interleaved partition and
+// returns one Run per input point, in input order. Only points with
+// index i%shards == shard execute; the rest stay zero Runs. shards <= 1
+// runs everything. Device contexts are created up front so a bad card
+// fails the sweep before any worker starts.
 //
 // Failure policy, per the cal taxonomy: transient launch failures retry
 // up to s.Retries times with doubling backoff; timeouts, exhausted
@@ -156,27 +114,34 @@ func (s *Suite) RunKernelPointsShardedCtx(ctx context.Context, kps []KernelPoint
 // (Run.Err) and the sweep continues; anything else — a lost device, a
 // compile or configuration error — is fatal, cancels the undispatched
 // points and fails the sweep.
-func (s *Suite) runPoints(pts []point, observe func(i int) func(Run)) ([]Run, error) {
-	return s.runPointsSharded(context.Background(), pts, observe, 0, 1)
-}
-
-// runPointsSharded is runPoints over one shard of an interleaved
-// partition (shards <= 1 means the whole sweep). The domain clamp and
-// the checkpoint signature cover every point — identical across shards
-// — while dispatch, checkpoint restore and progress accounting cover
-// only the shard's own indices. Cancelling parent interrupts the sweep
-// the same way Suite.Interrupt does, but scoped to this sweep alone.
-func (s *Suite) runPointsSharded(parent context.Context, pts []point, observe func(i int) func(Run), shard, shards int) ([]Run, error) {
+//
+// observe, when non-nil, is called on the worker goroutine just before
+// point i's first launch attempt, and the function it returns is called
+// right after the point resolves (completed or failure record). The
+// campaign scheduler uses it for per-unit spans and counters.
+//
+// Cancelling parent stops the sweep exactly like Suite.Interrupt —
+// undispatched points are abandoned, dispatched points complete, and the
+// sweep returns ErrSweepInterrupted — but scoped to this sweep alone, for
+// callers multiplexing several sweeps over one suite (the daemon).
+//
+// Nothing here persists results: with PersistDir set, every completed
+// launch is written through to the content-addressed simulate tier, so
+// re-running an interrupted sweep, or the unsharded run after its
+// shards, serves finished points from disk.
+func (s *Suite) RunPoints(parent context.Context, kps []KernelPoint, observe func(i int) func(Run), shard, shards int) ([]Run, error) {
+	if shards > 1 && (shard < 0 || shard >= shards) {
+		return nil, fmt.Errorf("core: shard %d out of range 0..%d", shard, shards-1)
+	}
 	mine := func(i int) bool { return shards <= 1 || i%shards == shard }
-	if s.MaxDomain > 0 {
-		for i := range pts {
-			if pts[i].w > s.MaxDomain {
-				pts[i].w = s.MaxDomain
-			}
-			if pts[i].h > s.MaxDomain {
-				pts[i].h = s.MaxDomain
-			}
+	pts := make([]point, len(kps))
+	for i, kp := range kps {
+		p := point{card: kp.Card, x: kp.X, k: kp.K, w: kp.W, h: kp.H}
+		if s.MaxDomain > 0 {
+			p.w = min(p.w, s.MaxDomain)
+			p.h = min(p.h, s.MaxDomain)
 		}
+		pts[i] = p
 	}
 	for _, p := range pts {
 		if _, err := s.context(p.card.Arch); err != nil {
@@ -184,24 +149,7 @@ func (s *Suite) runPointsSharded(parent context.Context, pts []point, observe fu
 		}
 	}
 	runs := make([]Run, len(pts))
-	done := make([]bool, len(pts))
 	ctr := s.counters()
-
-	var ck *checkpoint
-	if s.Checkpoint != "" {
-		var err error
-		ck, err = openCheckpoint(s.Checkpoint, sweepSignature(pts, s.Iterations), s.CheckpointFlushEvery, ctr.quarantined)
-		if err != nil {
-			return nil, err
-		}
-		for i := range pts {
-			if r, ok := ck.get(i); ok && mine(i) {
-				runs[i] = r
-				done[i] = true
-			}
-		}
-	}
-
 	scheduled := 0
 	for i := range pts {
 		if mine(i) {
@@ -213,16 +161,6 @@ func (s *Suite) runPointsSharded(parent context.Context, pts []point, observe fu
 	if s.Progress != nil {
 		prog = obs.NewProgress(s.Progress, "sweep", scheduled)
 		defer prog.Finish()
-	}
-	restored := 0
-	for _, d := range done {
-		if d {
-			restored++
-		}
-	}
-	if restored > 0 {
-		ctr.restored.Add(int64(restored))
-		prog.Restored(restored)
 	}
 
 	ctx, cancel := context.WithCancel(parent)
@@ -284,17 +222,12 @@ func (s *Suite) runPointsSharded(parent context.Context, pts []point, observe fu
 				if prog != nil {
 					prog.Point(run.Failed(), s.cacheHitRate())
 				}
-				if ck != nil && !run.Failed() {
-					if err := ck.put(i, run); err != nil {
-						fatal(err)
-					}
-				}
 			}
 		}()
 	}
 feed:
 	for i := range pts {
-		if done[i] || !mine(i) {
+		if !mine(i) {
 			continue
 		}
 		select {
@@ -305,16 +238,6 @@ feed:
 	}
 	close(jobs)
 	wg.Wait()
-
-	// Flush on every exit path: at rest the checkpoint always holds the
-	// full completed set, whether the sweep finished, died fatally, or
-	// was interrupted — the resume contract batched saves must keep.
-	// (Workers are drained, so fatalErr needs no lock from here on.)
-	if ck != nil {
-		if err := ck.flush(); err != nil && fatalErr == nil {
-			fatalErr = err
-		}
-	}
 
 	if fatalErr != nil {
 		return nil, fatalErr

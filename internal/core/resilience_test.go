@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -14,7 +13,6 @@ import (
 	"amdgpubench/internal/device"
 	"amdgpubench/internal/fault"
 	"amdgpubench/internal/il"
-	"amdgpubench/internal/kerngen"
 	"amdgpubench/internal/pipeline"
 )
 
@@ -176,31 +174,31 @@ func TestSweepNoPlanBitIdenticalToBaseline(t *testing.T) {
 	}
 }
 
-// readCheckpoint counts the completed points recorded in a checkpoint.
-func readCheckpoint(t *testing.T, path string) int {
+// persisted reads a suite's persist-tier counters: results written
+// through to disk, served from disk, and looked up but computed.
+func persisted(s *Suite) (writes, hits, misses int64) {
+	snap := s.Metrics().Snapshot()
+	return snap.Get("pipeline.persist.writes"), snap.Get("pipeline.persist.hits"), snap.Get("pipeline.persist.misses")
+}
+
+// wantResumed checks that a resumed suite served exactly the points an
+// earlier run persisted and computed only the rest.
+func wantResumed(t *testing.T, s *Suite, served, computed int64) {
 	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	if _, hits, misses := persisted(s); hits != served || misses != computed {
+		t.Fatalf("resume served %d and computed %d points, want %d served and %d computed",
+			hits, misses, served, computed)
 	}
-	var f struct {
-		Signature string         `json:"signature"`
-		Runs      map[string]Run `json:"runs"`
-	}
-	if err := json.Unmarshal(data, &f); err != nil {
-		t.Fatal(err)
-	}
-	return len(f.Runs)
 }
 
 func TestCheckpointResumeSkipsCompletedPoints(t *testing.T) {
 	dir := t.TempDir()
-	ckpath := filepath.Join(dir, "sweep.json")
 
 	// First run: one point times out, the other three complete and are
-	// checkpointed — the surviving state of an interrupted campaign.
+	// persisted — the surviving state of an interrupted campaign. The
+	// watchdog budget is part of the persist key, so both runs hold it.
 	s1 := quickSuite()
-	s1.Checkpoint = ckpath
+	s1.PersistDir = dir
 	s1.DeadlineCycles = 1 << 20
 	s1.Faults = &fault.Plan{Specs: []fault.Spec{
 		{Kind: fault.Hang, Prob: 1, Match: "alufetch_r0.50", Clause: -1},
@@ -209,28 +207,28 @@ func TestCheckpointResumeSkipsCompletedPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := readCheckpoint(t, ckpath); n != len(runs1)-1 {
-		t.Fatalf("checkpoint holds %d points, want %d", n, len(runs1)-1)
+	if n, _, _ := persisted(s1); n != int64(len(runs1)-1) {
+		t.Fatalf("persisted %d points, want %d (the struck launch bypasses the store)", n, len(runs1)-1)
 	}
 
 	// Resume without the fault: only the missing point may recompute.
 	s2 := quickSuite()
-	s2.Checkpoint = ckpath
+	s2.PersistDir = dir
+	s2.DeadlineCycles = 1 << 20
 	fig2, runs2, err := s2.ALUFetchRatio(sweepCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s2.KernelLaunches(); got != 1 {
-		t.Fatalf("resume launched %d kernels, want 1 (the failed point only)", got)
-	}
+	wantResumed(t, s2, int64(len(runs2)-1), 1)
 	for _, r := range runs2 {
 		if r.Failed() {
 			t.Fatalf("resumed sweep still has failures: %+v", r)
 		}
 	}
 
-	// The resumed figure matches a clean uncheckpointed run bit for bit.
+	// The resumed figure matches a clean unpersisted run bit for bit.
 	clean := quickSuite()
+	clean.DeadlineCycles = 1 << 20
 	figClean, _, err := clean.ALUFetchRatio(sweepCfg())
 	if err != nil {
 		t.Fatal(err)
@@ -242,13 +240,12 @@ func TestCheckpointResumeSkipsCompletedPoints(t *testing.T) {
 
 func TestCheckpointInterruptedMidSweepResumes(t *testing.T) {
 	dir := t.TempDir()
-	ckpath := filepath.Join(dir, "sweep.json")
 
-	// A lost device kills the first run mid-sweep — the checkpoint keeps
-	// whatever completed before the abort.
+	// A lost device kills the first run mid-sweep — the persist tier
+	// keeps whatever completed before the abort.
 	s1 := quickSuite()
 	s1.Workers = 1 // deterministic: points complete in order until the fatal one
-	s1.Checkpoint = ckpath
+	s1.PersistDir = dir
 	s1.Faults = &fault.Plan{Specs: []fault.Spec{
 		{Kind: fault.DeviceLost, Prob: 1, Match: "alufetch_r0.75"},
 	}}
@@ -256,185 +253,97 @@ func TestCheckpointInterruptedMidSweepResumes(t *testing.T) {
 	if !errors.Is(err, cal.ErrDeviceLost) {
 		t.Fatalf("want fatal abort, got %v", err)
 	}
-	completed := readCheckpoint(t, ckpath)
+	completed, _, _ := persisted(s1)
 	if completed == 0 {
-		t.Fatal("nothing checkpointed before the abort")
+		t.Fatal("nothing persisted before the abort")
 	}
 
 	s2 := quickSuite()
-	s2.Checkpoint = ckpath
+	s2.PersistDir = dir
 	_, runs2, err := s2.ALUFetchRatio(sweepCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := int64(len(runs2) - completed)
-	if got := s2.KernelLaunches(); got != want {
-		t.Fatalf("resume launched %d kernels, want %d (total %d - checkpointed %d)",
-			got, want, len(runs2), completed)
-	}
+	wantResumed(t, s2, completed, int64(len(runs2))-completed)
 }
 
 func TestCheckpointIgnoresForeignSweep(t *testing.T) {
 	dir := t.TempDir()
-	ckpath := filepath.Join(dir, "sweep.json")
 
 	s1 := quickSuite()
-	s1.Checkpoint = ckpath
+	s1.PersistDir = dir
 	if _, _, err := s1.ALUFetchRatio(sweepCfg()); err != nil {
 		t.Fatal(err)
 	}
 
-	// A different sweep (other card) with the same checkpoint path must
-	// recompute everything, not resume foreign points.
+	// A different sweep (other card) over the same directory must
+	// recompute everything, not serve foreign points.
 	other := sweepCfg()
 	other.Cards = []Card{{Arch: device.RV870, Mode: il.Pixel, Type: il.Float}}
 	s2 := quickSuite()
-	s2.Checkpoint = ckpath
+	s2.PersistDir = dir
 	_, runs2, err := s2.ALUFetchRatio(other)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s2.KernelLaunches(); got != int64(len(runs2)) {
-		t.Fatalf("foreign checkpoint restored points: launched %d, want %d", got, len(runs2))
-	}
-}
-
-func TestSweepSignatureKeysOnKernelBodyNotName(t *testing.T) {
-	// Two kernels pinned to the same name but generated with different
-	// bodies (8 vs 4 inputs) must produce different sweep signatures:
-	// the signature keys on the structural IL hash, not the name.
-	s := quickSuite()
-	pa := kerngen.Params{
-		Mode: il.Pixel, Type: il.Float, Inputs: 4, Outputs: 1,
-		ALUFetchRatio: 1.0, Name: "same_name",
-	}
-	pb := pa
-	pb.Inputs = 8
-	ka, err := s.generate(pipeline.GenALUFetch, pa)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kb, err := s.generate(pipeline.GenALUFetch, pb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ka.Name != kb.Name {
-		t.Fatalf("precondition broken: names differ (%q vs %q)", ka.Name, kb.Name)
-	}
-	if ka.Hash() == kb.Hash() {
-		t.Fatal("precondition broken: kernel bodies identical")
-	}
-	card := Card{Arch: device.RV770, Mode: il.Pixel, Type: il.Float}
-	ptsA := []point{{card: card, x: 1, k: ka, w: 64, h: 64}}
-	ptsB := []point{{card: card, x: 1, k: kb, w: 64, h: 64}}
-	if sweepSignature(ptsA, 1) == sweepSignature(ptsB, 1) {
-		t.Fatal("sweep signature ignores the kernel body: different kernels under one name share a signature")
-	}
+	wantResumed(t, s2, 0, int64(len(runs2)))
 }
 
 func TestCheckpointRejectsSameNameDifferentKernelBody(t *testing.T) {
 	dir := t.TempDir()
-	ckpath := filepath.Join(dir, "sweep.json")
 
 	s1 := quickSuite()
-	s1.Checkpoint = ckpath
+	s1.PersistDir = dir
 	if _, _, err := s1.ALUFetchRatio(sweepCfg()); err != nil {
 		t.Fatal(err)
 	}
 
 	// The same sweep with half the inputs: every kernel keeps its name
 	// (alufetch names encode only the ratio), x and domain, but the IL
-	// bodies differ. Resuming from the first run's checkpoint would
-	// splice the 16-input timings into the 8-input figure.
+	// bodies differ. Serving the first run's results would splice the
+	// 16-input timings into the 8-input figure.
 	other := sweepCfg()
 	other.Inputs = 8
 	s2 := quickSuite()
-	s2.Checkpoint = ckpath
+	s2.PersistDir = dir
 	_, runs2, err := s2.ALUFetchRatio(other)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s2.KernelLaunches(); got != int64(len(runs2)) {
-		t.Fatalf("checkpoint for a different kernel body was resumed: launched %d, want %d",
-			got, len(runs2))
-	}
-}
-
-func TestCheckpointCorruptFileQuarantined(t *testing.T) {
-	dir := t.TempDir()
-	ckpath := filepath.Join(dir, "sweep.json")
-	if err := os.WriteFile(ckpath, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s := quickSuite()
-	s.Checkpoint = ckpath
-	fig, runs, err := s.ALUFetchRatio(sweepCfg())
-	if err != nil {
-		t.Fatalf("corrupt checkpoint wedged the sweep: %v", err)
-	}
-	// Everything recomputed: the garbage restored nothing.
-	if got := s.KernelLaunches(); got != int64(len(runs)) {
-		t.Fatalf("launched %d kernels, want %d (corrupt file must restore nothing)", got, len(runs))
-	}
-	// The torn file is preserved for diagnosis, not destroyed.
-	quarantined, err := os.ReadFile(ckpath + ".corrupt")
-	if err != nil {
-		t.Fatalf("quarantine file missing: %v", err)
-	}
-	if string(quarantined) != "{not json" {
-		t.Errorf("quarantine file content changed: %q", quarantined)
-	}
-	if got := s.Metrics().Snapshot().Get("core.checkpoint.quarantined"); got != 1 {
-		t.Errorf("core.checkpoint.quarantined = %d, want 1", got)
-	}
-	// The sweep rebuilt a valid checkpoint in place and its figure matches
-	// a clean run.
-	if n := readCheckpoint(t, ckpath); n != len(runs) {
-		t.Errorf("rebuilt checkpoint holds %d points, want %d", n, len(runs))
-	}
-	clean := quickSuite()
-	figClean, _, err := clean.ALUFetchRatio(sweepCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fig.CSV() != figClean.CSV() {
-		t.Errorf("figure after quarantine differs from clean run")
-	}
+	wantResumed(t, s2, 0, int64(len(runs2)))
 }
 
 func TestCheckpointTruncatedMidRecordRecovers(t *testing.T) {
-	// A torn write — the failure mode crash-atomic saves prevent on
-	// rename-capable filesystems, and quarantine absorbs everywhere else:
-	// a checkpoint cut off mid-record must not wedge the resume.
+	// A torn entry — the failure mode crash-atomic writes prevent on
+	// rename-capable filesystems — must not wedge the resume: it is a
+	// miss, recomputed and written through again.
 	dir := t.TempDir()
-	ckpath := filepath.Join(dir, "sweep.json")
 
 	s1 := quickSuite()
-	s1.Checkpoint = ckpath
+	s1.PersistDir = dir
 	if _, _, err := s1.ALUFetchRatio(sweepCfg()); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(ckpath)
+	entries, err := filepath.Glob(filepath.Join(dir, "simulate", "*", "*.json"))
+	if err != nil || len(entries) == 0 {
+		t.Fatalf("no persisted entries (%v)", err)
+	}
+	data, err := os.ReadFile(entries[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Truncate inside a record: valid prefix, unterminated JSON.
-	if err := os.WriteFile(ckpath, data[:len(data)*2/3], 0o644); err != nil {
+	// Truncate inside the record: valid prefix, unterminated JSON.
+	if err := os.WriteFile(entries[0], data[:len(data)*2/3], 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	s2 := quickSuite()
-	s2.Checkpoint = ckpath
+	s2.PersistDir = dir
 	fig2, runs2, err := s2.ALUFetchRatio(sweepCfg())
 	if err != nil {
-		t.Fatalf("truncated checkpoint aborted the resume: %v", err)
+		t.Fatalf("truncated entry aborted the resume: %v", err)
 	}
-	if got := s2.KernelLaunches(); got != int64(len(runs2)) {
-		t.Fatalf("truncated checkpoint restored points: launched %d, want %d", got, len(runs2))
-	}
-	if _, err := os.Stat(ckpath + ".corrupt"); err != nil {
-		t.Errorf("truncated file not quarantined: %v", err)
-	}
+	wantResumed(t, s2, int64(len(runs2)-1), 1)
 	clean := quickSuite()
 	figClean, _, err := clean.ALUFetchRatio(sweepCfg())
 	if err != nil {
@@ -442,28 +351,6 @@ func TestCheckpointTruncatedMidRecordRecovers(t *testing.T) {
 	}
 	if fig2.CSV() != figClean.CSV() {
 		t.Errorf("recovered figure differs from clean run")
-	}
-}
-
-func TestCheckpointQuarantineCollisionIsError(t *testing.T) {
-	// If even the quarantine rename fails (a directory squatting on the
-	// .corrupt name), the error surfaces instead of silently looping.
-	dir := t.TempDir()
-	ckpath := filepath.Join(dir, "sweep.json")
-	if err := os.WriteFile(ckpath, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Mkdir(ckpath+".corrupt", 0o755); err != nil {
-		t.Fatal(err)
-	}
-	// Make the rename fail by planting a non-empty directory at the target.
-	if err := os.WriteFile(filepath.Join(ckpath+".corrupt", "occupied"), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s := quickSuite()
-	s.Checkpoint = ckpath
-	if _, _, err := s.ALUFetchRatio(sweepCfg()); err == nil || !strings.Contains(err.Error(), "quarantined") {
-		t.Fatalf("failed quarantine not surfaced: %v", err)
 	}
 }
 
@@ -481,10 +368,9 @@ func interruptAfter(s *Suite, n int64) *atomic.Int64 {
 
 func TestInterruptedSweepResumesBitIdentical(t *testing.T) {
 	// The resume-under-concurrency contract: a sweep cancelled mid-flight
-	// on a multi-worker pool and resumed from its checkpoint must produce
+	// on a multi-worker pool and resumed from the persist tier must produce
 	// figure CSVs bit-identical to an uninterrupted run.
 	dir := t.TempDir()
-	ckpath := filepath.Join(dir, "sweep.json")
 
 	// Eight points on two workers: interrupting at the second launch
 	// leaves undispatched points behind, whatever the scheduling.
@@ -493,7 +379,7 @@ func TestInterruptedSweepResumesBitIdentical(t *testing.T) {
 
 	s1 := quickSuite()
 	s1.Workers = 2
-	s1.Checkpoint = ckpath
+	s1.PersistDir = dir
 	interruptAfter(s1, 2)
 	_, _, err := s1.ALUFetchRatio(cfg)
 	if !errors.Is(err, ErrSweepInterrupted) {
@@ -502,22 +388,19 @@ func TestInterruptedSweepResumesBitIdentical(t *testing.T) {
 	if got := s1.Metrics().Snapshot().Get("core.sweep.interrupted"); got != 1 {
 		t.Errorf("core.sweep.interrupted = %d, want 1", got)
 	}
-	completed := readCheckpoint(t, ckpath)
+	completed, _, _ := persisted(s1)
 	if completed == 0 || completed >= 8 {
-		t.Fatalf("checkpoint holds %d of 8 points; interrupt landed outside mid-sweep", completed)
+		t.Fatalf("persisted %d of 8 points; interrupt landed outside mid-sweep", completed)
 	}
 
 	s2 := quickSuite()
 	s2.Workers = 2
-	s2.Checkpoint = ckpath
+	s2.PersistDir = dir
 	fig2, runs2, err := s2.ALUFetchRatio(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := s2.KernelLaunches(), int64(len(runs2)-completed); got != want {
-		t.Fatalf("resume launched %d kernels, want %d (total %d - checkpointed %d)",
-			got, want, len(runs2), completed)
-	}
+	wantResumed(t, s2, completed, int64(len(runs2))-completed)
 
 	clean := quickSuite()
 	figClean, _, err := clean.ALUFetchRatio(cfg)

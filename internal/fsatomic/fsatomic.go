@@ -1,6 +1,6 @@
 // Package fsatomic is the suite's one crash-atomic file writer. Every
-// layer that persists state — sweep checkpoints, merged shard files, the
-// pipeline's on-disk artifact tier — writes through WriteFile, so the
+// layer that persists state — above all the pipeline's on-disk
+// simulate tier — writes through WriteFile, so the
 // durability discipline (unique temp, fsync data, rename, fsync parent
 // directory) lives in exactly one place instead of accreting weaker
 // copies per subsystem.

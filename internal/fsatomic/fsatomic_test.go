@@ -29,7 +29,7 @@ func payload(writer, rev int) []byte {
 }
 
 // TestConcurrentWritersOnePath is the regression test for the daemon's
-// multi-writer scenario: before WriteFileAtomic moved to unique temp
+// multi-writer scenario: before the writer moved to unique temp
 // files, all writers to one path shared "path.tmp", and a writer could
 // rename a temp that another writer had already truncated and was
 // rewriting — publishing torn bytes. With per-writer temps every rename

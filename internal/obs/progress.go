@@ -21,7 +21,6 @@ type Progress struct {
 	start      time.Time
 	done       int
 	failed     int
-	restored   int
 	hitRate    float64
 	lastRender time.Time
 	// renderEvery throttles intermediate renders; the final render always
@@ -37,19 +36,6 @@ func NewProgress(w io.Writer, label string, total int) *Progress {
 		start:       time.Now(),
 		renderEvery: 100 * time.Millisecond,
 	}
-}
-
-// Restored records n checkpoint-restored points: they count as done but
-// are excluded from the ETA's rate estimate (they cost no launch).
-func (p *Progress) Restored(n int) {
-	if p == nil || n == 0 {
-		return
-	}
-	p.mu.Lock()
-	p.done += n
-	p.restored += n
-	p.render(false)
-	p.mu.Unlock()
 }
 
 // Point records one completed sweep point and rerenders (throttled).
@@ -103,15 +89,12 @@ func (p *Progress) render(force bool) {
 	}
 }
 
-// eta projects the remaining wall time from the measured per-point rate,
-// counting only points this run actually computed (restored points are
-// free and would skew the rate).
+// eta projects the remaining wall time from the measured per-point rate.
 func (p *Progress) eta(now time.Time) (time.Duration, bool) {
-	computed := p.done - p.restored
 	remaining := p.total - p.done
-	if computed <= 0 || remaining <= 0 {
+	if p.done <= 0 || remaining <= 0 {
 		return 0, false
 	}
-	perPoint := now.Sub(p.start) / time.Duration(computed)
+	perPoint := now.Sub(p.start) / time.Duration(p.done)
 	return (perPoint * time.Duration(remaining)).Round(100 * time.Millisecond), true
 }

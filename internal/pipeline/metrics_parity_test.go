@@ -5,8 +5,8 @@ import (
 )
 
 // TestStatsAgreeWithMetricsSnapshot is the single-source-of-truth check:
-// Stats() (behind `amdmb -cache-stats`) and the metrics registry (behind
-// `amdmb -metrics`) must report the same numbers, because they read the
+// Stats() (read by the progress line and the soak metrics oracle) and the
+// metrics registry (behind `amdmb -metrics`) must report the same numbers, because they read the
 // same counters. Any drift means a stage updated one but not the other.
 func TestStatsAgreeWithMetricsSnapshot(t *testing.T) {
 	p := New(Options{})

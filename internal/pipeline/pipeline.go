@@ -18,7 +18,7 @@
 // concurrent computations of the same key (singleflight), so a worker
 // pool sweeping hundreds of points never computes the same artifact
 // twice at the same time. Every stage carries hit/miss/latency counters,
-// surfaced through Stats and `amdmb -cache-stats`.
+// surfaced through Stats and `amdmb -metrics`.
 //
 // Because every stage is a pure function of its key, serving an artifact
 // from the store is bit-identical to recomputing it: figures produced

@@ -26,7 +26,7 @@ import (
 // whichever cursor is deeper, so the store never regresses a prefix.
 //
 // Counters live under pipeline.replay-prefix.* and surface as their own
-// row in Stats/-cache-stats: hits (snapshot served), misses (cold
+// row in Stats: hits (snapshot served), misses (cold
 // family or snapshot deeper than the requested point), inputs_reused
 // (inputs the snapshot saved replaying), inputs_replayed (inputs
 // actually advanced).

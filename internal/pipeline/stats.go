@@ -1,10 +1,6 @@
 package pipeline
 
-import (
-	"fmt"
-	"strings"
-	"time"
-)
+import "time"
 
 // StageStats are one stage's artifact-cache counters.
 type StageStats struct {
@@ -49,22 +45,4 @@ func (st Stats) Stage(name string) StageStats {
 		}
 	}
 	return StageStats{Stage: name}
-}
-
-// Format renders the snapshot as the table `amdmb -cache-stats` prints.
-func (st Stats) Format() string {
-	var b strings.Builder
-	state := "enabled"
-	if !st.Enabled {
-		state = "disabled"
-	}
-	fmt.Fprintf(&b, "Pipeline artifact caches (%s): content-addressed, LRU-bounded, singleflight\n", state)
-	fmt.Fprintf(&b, "%-10s %9s %9s %9s %9s %9s %8s %8s %12s\n",
-		"stage", "hits", "misses", "coalesced", "bypassed", "evicted", "entries", "hit%", "compute")
-	for _, s := range st.Stages {
-		fmt.Fprintf(&b, "%-10s %9d %9d %9d %9d %9d %8d %7.1f%% %12s\n",
-			s.Stage, s.Hits, s.Misses, s.Coalesced, s.Bypassed, s.Evictions,
-			s.Entries, 100*s.HitRate(), s.ComputeTime.Round(time.Microsecond))
-	}
-	return b.String()
 }

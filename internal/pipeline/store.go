@@ -19,8 +19,8 @@ import (
 //
 // Counters live in the pipeline's obs registry (resolved once at
 // construction, updated with one atomic add per event — the same cost as
-// the ad-hoc atomics they replaced), so `-cache-stats`, `-metrics` and
-// the progress reporter all read one set of numbers.
+// the ad-hoc atomics they replaced), so Stats, `-metrics` and the
+// progress reporter all read one set of numbers.
 type store[K comparable, V any] struct {
 	max      int
 	disabled bool

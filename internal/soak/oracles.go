@@ -174,7 +174,7 @@ func (c *campaign) checkMetrics(st step) {
 		fail(fmt.Sprintf("core.sweep.points.failed=%d but campaign recorded %d failures",
 			failed, c.sweptFailed))
 	}
-	stats := c.suite.CacheStats()
+	stats := c.suite.Pipeline().Stats()
 	for _, stage := range []string{"generate", "compile", "replay", "simulate"} {
 		ss := stats.Stage(stage)
 		for name, pair := range map[string][2]int64{
@@ -214,7 +214,7 @@ func (c *campaign) checkTrace(st step) {
 
 // checkCheckpointIdentity compares the kill/resume cycle's results
 // against an uninterrupted reference sweep of the same points on a
-// fresh suite: resuming from a checkpoint must be invisible in the
+// fresh suite: resuming from the persist tier must be invisible in the
 // output, bit for bit, Run for Run.
 func (c *campaign) checkCheckpointIdentity(st step, runs []core.Run) {
 	ref, err := newSuite(c.cfg).RunKernelPoints(st.points)

@@ -17,17 +17,22 @@ import (
 	"amdgpubench/internal/obs"
 )
 
-// Report is a campaign's outcome. Everything in it except Elapsed is a
-// deterministic function of the Config (Duration-bounded campaigns
-// excepted: their step count depends on the wall clock, but every step
-// they did run is seed-determined).
+// Report is a campaign's outcome. Everything in it except Elapsed,
+// Churned and Resumed is a deterministic function of the Config
+// (Duration-bounded campaigns excepted: their step count depends on the
+// wall clock, but every step they did run is seed-determined).
 type Report struct {
-	Seed       int64
-	Steps      int
-	Points     int
-	Failures   int // per-point failure records (injected faults, timeouts)
-	Launches   int64
-	Kills      int // kill/resume cycles that actually interrupted a sweep
+	Seed     int64
+	Steps    int
+	Points   int
+	Failures int // per-point failure records (injected faults, timeouts)
+	Launches int64
+	Kills    int // kill/resume cycles that actually interrupted a sweep
+	// Resumed counts points the kill/resume cycles' resumed suites served
+	// from the persist tier. Which dispatched points finish before an
+	// interrupt depends on worker scheduling, so with several workers it
+	// varies from run to run.
+	Resumed    int64
 	Churned    int64
 	Violations []Violation
 	Bundles    []string
@@ -230,23 +235,21 @@ func runScheduled(s *core.Suite, st step) (*sched.Result, error) {
 }
 
 // runKillResume is one crash/resume cycle, in-process: a fresh suite
-// runs the step's points as a campaign against a checkpoint and is
-// Interrupted at the KillAt-th launch; a second fresh suite replans the
-// same campaign and resumes the checkpoint to completion (the
-// scheduler's deterministic unit order is what keeps the two plans'
-// sweep signatures identical); the resumed results are the step's
+// runs the step's points as a campaign over a step-private persist
+// directory and is Interrupted at the KillAt-th launch; a second fresh
+// suite replans the same campaign over the same directory, which serves
+// every point the victim finished; the resumed results are the step's
 // results. The checkpoint-identity oracle then compares them
 // bit-for-bit against an uninterrupted reference sweep (runOracles).
 // Fresh suites keep the cycle honest — the resume may not lean on the
-// killed sweep's warm caches — while the campaign suite's launch
-// accounting stays consistent for the metrics oracle.
+// killed sweep's warm in-memory caches — while the campaign suite's
+// launch accounting stays consistent for the metrics oracle.
 func (c *campaign) runKillResume(st step) ([]core.Run, error) {
-	ck := filepath.Join(c.scratch, fmt.Sprintf("step%03d.ckpt", st.Index))
-	defer os.Remove(ck)
-	defer os.Remove(ck + ".corrupt")
+	dir := filepath.Join(c.scratch, fmt.Sprintf("step%03d.cache", st.Index))
+	defer os.RemoveAll(dir)
 
 	victim := newSuite(c.cfg)
-	victim.Checkpoint = ck
+	victim.PersistDir = dir
 	var launches atomic.Int64
 	victim.BeforeLaunch = func() {
 		if launches.Add(1) == int64(st.KillAt) {
@@ -260,17 +263,13 @@ func (c *campaign) runKillResume(st step) ([]core.Run, error) {
 	case err != nil:
 		return nil, err
 	}
-	// The checkpoint quarantine path must never fire here: every save is
-	// crash-atomic and the interrupt is a clean cancellation.
-	if _, err := os.Stat(ck + ".corrupt"); err == nil {
-		return nil, fmt.Errorf("kill/resume quarantined a checkpoint at step %d", st.Index)
-	}
 
 	resumed := newSuite(c.cfg)
-	resumed.Checkpoint = ck
+	resumed.PersistDir = dir
 	res, err := runScheduled(resumed, st)
 	if err != nil {
 		return nil, err
 	}
+	c.report.Resumed += resumed.Metrics().Snapshot().Get("pipeline.persist.hits")
 	return res.Runs[0], nil
 }

@@ -81,10 +81,11 @@ func TestCampaignReproducible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Elapsed and Churned are wall-clock shaped; everything else must
-	// match bit for bit.
+	// Elapsed, Churned and Resumed are wall-clock or scheduling shaped;
+	// everything else must match bit for bit.
 	a.Elapsed, b.Elapsed = 0, 0
 	a.Churned, b.Churned = 0, 0
+	a.Resumed, b.Resumed = 0, 0
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed, different campaigns:\n a: %+v\n b: %+v", a, b)
 	}
@@ -195,7 +196,8 @@ func TestFailFastStopsCampaign(t *testing.T) {
 // TestKillResumeIsDeterministicallyInterrupted pins the in-process
 // crash cycle: with serial workers the interrupt ordinal is exact, the
 // sweep must come back ErrSweepInterrupted inside runKillResume, and
-// the resumed results must pass the checkpoint-identity oracle.
+// the resumed results must pass the checkpoint-identity oracle after
+// serving the victim's finished points from the persist tier.
 func TestKillResumeEveryStep(t *testing.T) {
 	cfg := Config{Seed: 17, Steps: 2, KernelsPerStep: 3, KillEvery: 1, Workers: 1}
 	rep, err := Run(cfg)
@@ -204,6 +206,10 @@ func TestKillResumeEveryStep(t *testing.T) {
 	}
 	if rep.Kills != cfg.Steps {
 		t.Errorf("%d kills across %d killresume steps", rep.Kills, cfg.Steps)
+	}
+	// The identity oracle must compare a real resume, not two recomputes.
+	if rep.Resumed == 0 {
+		t.Error("no resumed sweep served a point from the persist tier")
 	}
 	for _, v := range rep.Violations {
 		t.Errorf("violation: %s", v)

@@ -13,23 +13,23 @@ import (
 // Crash torture is the out-of-process half of the kill/resume story:
 // where the in-process cycles (runKillResume) prove a cleanly cancelled
 // sweep resumes, torture proves a SIGKILLed *process* does — the kill
-// lands at whatever instant the checkpoint writer happens to be in,
-// which is exactly what the crash-atomic save protocol must survive.
-// The harness runs a child amdmb sweep against a checkpoint, waits for
-// it to make progress, kills it without ceremony, and repeats; the
-// final run must complete cleanly with zero quarantined checkpoints,
+// lands at whatever instant the persist tier's writer happens to be in,
+// which is exactly what the crash-atomic write protocol must survive.
+// The harness runs a child amdmb sweep against a cache directory, waits
+// for it to make progress, kills it without ceremony, and repeats; the
+// final run must complete cleanly with every persisted entry readable,
 // and the caller compares its output bit-for-bit against an
 // uninterrupted run.
 
 // TortureConfig parameterises a torture session.
 type TortureConfig struct {
 	// NewChild builds the child command for each cycle. Every cycle's
-	// command must describe the same sweep against Checkpoint, or resume
-	// signatures will not match and nothing is being tested.
+	// command must describe the same sweep against CacheDir, or the
+	// resume serves nothing and nothing is being tested.
 	NewChild func(cycle int) *exec.Cmd
-	// Checkpoint is the checkpoint file the children share; progress is
-	// measured by its record count growing.
-	Checkpoint string
+	// CacheDir is the persist directory the children share; progress is
+	// measured by its entry count growing.
+	CacheDir string
 	// Cycles is how many SIGKILLs to land; zero means 3.
 	Cycles int
 	// Poll is the progress-poll interval; zero means 10ms.
@@ -43,24 +43,23 @@ type TortureConfig struct {
 
 // TortureResult is a session's outcome.
 type TortureResult struct {
-	// Kills counts children SIGKILLed after making checkpoint progress.
+	// Kills counts children SIGKILLed after making progress.
 	Kills int
 	// CleanExits counts children that finished the sweep before the kill
 	// landed (the sweep ran out of points to torture).
 	CleanExits int
-	// Quarantined counts .corrupt checkpoint files found afterwards —
-	// every one is a torn write the atomic save protocol let through,
+	// Unreadable counts persisted entries that fail to parse afterwards —
+	// every one is a torn write the atomic write protocol let through,
 	// and the caller should treat any nonzero count as a failure.
-	Quarantined int
-	// Restored is the checkpoint record count the final clean run
-	// started from.
+	Unreadable int
+	// Restored is the entry count the final clean run started from.
 	Restored int
 }
 
 // Torture runs the session: Cycles kills, then one run to completion.
 func Torture(cfg TortureConfig) (*TortureResult, error) {
-	if cfg.NewChild == nil || cfg.Checkpoint == "" {
-		return nil, fmt.Errorf("soak: torture needs NewChild and Checkpoint")
+	if cfg.NewChild == nil || cfg.CacheDir == "" {
+		return nil, fmt.Errorf("soak: torture needs NewChild and CacheDir")
 	}
 	cycles := cfg.Cycles
 	if cycles <= 0 {
@@ -77,7 +76,7 @@ func Torture(cfg TortureConfig) (*TortureResult, error) {
 
 	res := &TortureResult{}
 	for cycle := 0; cycle < cycles; cycle++ {
-		base := checkpointRecords(cfg.Checkpoint)
+		base := len(cacheEntries(cfg.CacheDir))
 		cmd := cfg.NewChild(cycle)
 		if err := cmd.Start(); err != nil {
 			return res, fmt.Errorf("soak: torture cycle %d: %w", cycle, err)
@@ -99,9 +98,9 @@ func Torture(cfg TortureConfig) (*TortureResult, error) {
 				break wait
 			default:
 			}
-			if checkpointRecords(cfg.Checkpoint) > base {
+			if len(cacheEntries(cfg.CacheDir)) > base {
 				// Progress observed: kill mid-sweep, quite possibly
-				// mid-checkpoint-save.
+				// mid-write.
 				_ = cmd.Process.Kill()
 				<-exited
 				res.Kills++
@@ -111,7 +110,7 @@ func Torture(cfg TortureConfig) (*TortureResult, error) {
 			if time.Now().After(deadline) {
 				_ = cmd.Process.Kill()
 				<-exited
-				return res, fmt.Errorf("soak: torture cycle %d: no checkpoint progress within %v", cycle, timeout)
+				return res, fmt.Errorf("soak: torture cycle %d: no persisted progress within %v", cycle, timeout)
 			}
 			time.Sleep(poll)
 		}
@@ -120,8 +119,8 @@ func Torture(cfg TortureConfig) (*TortureResult, error) {
 			if !killed {
 				verb = "finished clean"
 			}
-			fmt.Fprintf(cfg.Out, "torture cycle %d: %s at %d checkpointed points\n",
-				cycle, verb, checkpointRecords(cfg.Checkpoint))
+			fmt.Fprintf(cfg.Out, "torture cycle %d: %s at %d persisted points\n",
+				cycle, verb, len(cacheEntries(cfg.CacheDir)))
 		}
 		if !killed {
 			break // nothing left to torture
@@ -129,7 +128,7 @@ func Torture(cfg TortureConfig) (*TortureResult, error) {
 	}
 
 	// The survivor: run to completion from whatever the kills left.
-	res.Restored = checkpointRecords(cfg.Checkpoint)
+	res.Restored = len(cacheEntries(cfg.CacheDir))
 	final := cfg.NewChild(cycles)
 	done := make(chan error, 1)
 	if err := final.Start(); err != nil {
@@ -147,34 +146,28 @@ func Torture(cfg TortureConfig) (*TortureResult, error) {
 		return res, fmt.Errorf("soak: torture final run exceeded %v", timeout)
 	}
 
-	res.Quarantined = countQuarantined(cfg.Checkpoint)
+	res.Unreadable = unreadable(cacheEntries(cfg.CacheDir))
 	return res, nil
 }
 
-// checkpointRecords counts completed points in a checkpoint file. The
-// save protocol renames complete files into place, so any parse failure
-// here is either mid-session absence (0) or exactly the torn write the
-// torture session exists to catch — the final countQuarantined pass
-// will see its quarantine.
-func checkpointRecords(path string) int {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0
-	}
-	var f struct {
-		Runs map[string]json.RawMessage `json:"runs"`
-	}
-	if err := json.Unmarshal(data, &f); err != nil {
-		return 0
-	}
-	return len(f.Runs)
+// cacheEntries lists the published entries of dir's simulate tier; its
+// length is the harness's progress measure. An fsatomic temp file
+// (<entry>.json.tmp-<random>) does not match: it is a writer's work in
+// progress, which a kill may orphan but never publishes.
+func cacheEntries(dir string) []string {
+	paths, _ := filepath.Glob(filepath.Join(dir, "simulate", "*", "*.json"))
+	return paths
 }
 
-// countQuarantined counts quarantined checkpoint files next to path.
-func countQuarantined(path string) int {
-	matches, err := filepath.Glob(path + "*.corrupt")
-	if err != nil {
-		return 0
+// unreadable counts the entries that do not parse: each one is a torn
+// write the crash-atomic protocol let through.
+func unreadable(paths []string) int {
+	n := 0
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil || !json.Valid(data) {
+			n++
+		}
 	}
-	return len(matches)
+	return n
 }

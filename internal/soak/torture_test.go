@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -14,13 +15,13 @@ import (
 
 // The crash-torture test re-executes its own test binary as the victim:
 // TestMain diverts into tortureChild when the marker env var is set, so
-// the child is a real OS process running a real checkpointed sweep that
-// a real SIGKILL lands on — no in-process simulation of "crash".
+// the child is a real OS process running a real persisted sweep that a
+// real SIGKILL lands on — no in-process simulation of "crash".
 
 const (
-	childEnvMarker     = "AMDMB_SOAK_TORTURE_CHILD"
-	childEnvCheckpoint = "AMDMB_SOAK_CHILD_CHECKPOINT"
-	childEnvOut        = "AMDMB_SOAK_CHILD_OUT"
+	childEnvMarker   = "AMDMB_SOAK_TORTURE_CHILD"
+	childEnvCacheDir = "AMDMB_SOAK_CHILD_CACHE_DIR"
+	childEnvOut      = "AMDMB_SOAK_CHILD_OUT"
 )
 
 func TestMain(m *testing.M) {
@@ -38,22 +39,18 @@ func childPoints() []core.KernelPoint {
 	return planStep(cfg, 0).points
 }
 
-// tortureChild runs the fixed sweep against the inherited checkpoint
-// and writes the runs as JSON. It slows each launch a little so the
-// parent's progress poll always catches a mid-sweep instant to kill.
+// tortureChild runs the fixed sweep against the inherited cache
+// directory and writes the runs as JSON. It slows each launch a little
+// so the parent's progress poll always catches a mid-sweep instant to
+// kill. Every completed point is written through as it finishes, so
+// each one is another instant for a kill to tear.
 func tortureChild() int {
 	s := core.NewSuite()
 	s.Iterations = 1
 	s.Workers = 2
 	s.Retries = 2
 	s.DeadlineCycles = 1 << 22
-	s.Checkpoint = os.Getenv(childEnvCheckpoint)
-	// Save per point: the parent observes progress through checkpoint
-	// growth, and every save is another instant for a kill to tear. The
-	// default debounce would batch 8 points per write — fewer kill
-	// windows, and the last batch can land so close to exit that the
-	// final cycle's kill misses the child entirely.
-	s.CheckpointFlushEvery = 1
+	s.PersistDir = os.Getenv(childEnvCacheDir)
 	s.BeforeLaunch = func() { time.Sleep(3 * time.Millisecond) }
 	runs, err := s.RunKernelPoints(childPoints())
 	if err != nil {
@@ -73,21 +70,21 @@ func tortureChild() int {
 }
 
 // TestTortureSurvivesRepeatedSIGKILL is the acceptance criterion: three
-// consecutive SIGKILL/resume cycles, zero quarantined checkpoints, and
-// the survivor's results bit-identical to an uninterrupted run.
+// consecutive SIGKILL/resume cycles, zero unreadable persisted entries,
+// and the survivor's results bit-identical to an uninterrupted run.
 func TestTortureSurvivesRepeatedSIGKILL(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
 	}
 	dir := t.TempDir()
-	ck := dir + "/torture.ckpt"
+	cache := dir + "/torture.cache"
 	out := dir + "/tortured.json"
 
 	child := func(cycle int) *exec.Cmd {
 		cmd := exec.Command(os.Args[0])
 		cmd.Env = append(os.Environ(),
 			childEnvMarker+"=1",
-			childEnvCheckpoint+"="+ck,
+			childEnvCacheDir+"="+cache,
 			childEnvOut+"="+out,
 		)
 		cmd.Stderr = os.Stderr
@@ -96,12 +93,12 @@ func TestTortureSurvivesRepeatedSIGKILL(t *testing.T) {
 
 	var log bytes.Buffer
 	res, err := Torture(TortureConfig{
-		NewChild:   child,
-		Checkpoint: ck,
-		Cycles:     3,
-		Poll:       time.Millisecond,
-		Timeout:    90 * time.Second,
-		Out:        &log,
+		NewChild: child,
+		CacheDir: cache,
+		Cycles:   3,
+		Poll:     time.Millisecond,
+		Timeout:  90 * time.Second,
+		Out:      &log,
 	})
 	if err != nil {
 		t.Fatalf("%v\n%s", err, log.String())
@@ -109,8 +106,8 @@ func TestTortureSurvivesRepeatedSIGKILL(t *testing.T) {
 	if res.Kills != 3 {
 		t.Errorf("landed %d kills, want 3 (%d clean exits)\n%s", res.Kills, res.CleanExits, log.String())
 	}
-	if res.Quarantined != 0 {
-		t.Errorf("%d checkpoints quarantined after SIGKILL torture; the atomic save protocol tore", res.Quarantined)
+	if res.Unreadable != 0 {
+		t.Errorf("%d unreadable entries after SIGKILL torture; the atomic write protocol tore", res.Unreadable)
 	}
 	if res.Restored == 0 {
 		t.Error("final run restored nothing: the kills never preserved progress")
@@ -121,12 +118,12 @@ func TestTortureSurvivesRepeatedSIGKILL(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Uninterrupted reference: same sweep, fresh checkpoint, no kills.
+	// Uninterrupted reference: same sweep, fresh cache, no kills.
 	refOut := dir + "/reference.json"
 	refCmd := exec.Command(os.Args[0])
 	refCmd.Env = append(os.Environ(),
 		childEnvMarker+"=1",
-		childEnvCheckpoint+"="+dir+"/reference.ckpt",
+		childEnvCacheDir+"="+dir+"/reference.cache",
 		childEnvOut+"="+refOut,
 	)
 	refCmd.Stderr = os.Stderr
@@ -149,22 +146,30 @@ func TestTortureConfigValidation(t *testing.T) {
 	}
 }
 
-func TestCheckpointRecordsCounts(t *testing.T) {
+// TestCacheEntriesCounts pins the harness's progress and tear measures:
+// published entries count, a torn entry counts as unreadable, and an
+// fsatomic temp file a kill orphaned is no entry at all.
+func TestCacheEntriesCounts(t *testing.T) {
 	dir := t.TempDir()
-	path := dir + "/ck.json"
-	if n := checkpointRecords(path); n != 0 {
-		t.Fatalf("missing file counted %d records", n)
+	if n := len(cacheEntries(dir)); n != 0 {
+		t.Fatalf("empty dir counted %d entries", n)
 	}
-	if err := os.WriteFile(path, []byte(`{"signature":"x","runs":{"0":{},"1":{}}}`), 0o644); err != nil {
+	shard := filepath.Join(dir, "simulate", "ab")
+	if err := os.MkdirAll(shard, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if n := checkpointRecords(path); n != 2 {
-		t.Fatalf("counted %d records, want 2", n)
+	for name, body := range map[string]string{
+		"ab01.json":                `{"Seconds":1}`,
+		"ab02.json":                `{"Seconds":2}`,
+		"ab03.json":                `{"Seco`,
+		"ab04.json.tmp-1234567890": `{"Seconds":4}`,
+	} {
+		if err := os.WriteFile(filepath.Join(shard, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := os.WriteFile(path, []byte("{torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if n := checkpointRecords(path); n != 0 {
-		t.Fatalf("torn file counted %d records", n)
+	entries := cacheEntries(dir)
+	if n, bad := len(entries), unreadable(entries); n != 3 || bad != 1 {
+		t.Fatalf("counted %d entries, %d unreadable; want 3 and 1", n, bad)
 	}
 }

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # soak.sh — run an adversarial soak campaign against the suite: seeded
 # random kernels through the real pipeline under fault injection,
-# kill/checkpoint/resume cycles and artifact-cache churn, with the
+# kill/resume cycles and artifact-cache churn, with the
 # invariant oracles (determinism, replay conservation, metrics/trace
-# accounting, checkpoint identity) checked after every step, followed by
+# accounting, resume identity) checked after every step, followed by
 # the out-of-process SIGKILL crash-torture pass.
 #
 # CI runs the short version of this (soak-smoke); this script is for
