@@ -49,7 +49,8 @@
 //	-cache-dir dir     persistent on-disk simulate-result cache: results load
 //	                   from dir before computing and write through, so a
 //	                   re-run after a kill resumes, shards sharing dir merge,
-//	                   and daemon restarts replay instead of recompute
+//	                   and daemon restarts replay instead of recompute; a
+//	                   failed write or unreadable entry exits 1
 //	-trace file        record per-launch spans (with the pipeline stages nested
 //	                   inside) as Chrome trace_event JSON; open in Perfetto or
 //	                   chrome://tracing
@@ -63,9 +64,10 @@
 //	-cpuprofile file   write a CPU profile of the run (go tool pprof format)
 //	-memprofile file   write a heap profile on exit (go tool pprof format)
 //
-// Exit status: 0 on success, 1 on a fatal error, 2 on usage errors, 3
-// when the sweeps completed but recorded per-point failures (printed in
-// the failure-summary table).
+// Exit status: 0 on success, 1 on a fatal error (including a -cache-dir
+// that did not take every result), 2 on usage errors, 3 when the sweeps
+// completed but recorded per-point failures (printed in the
+// failure-summary table).
 package main
 
 import (
@@ -302,8 +304,10 @@ func (c *cli) newSuite() (*core.Suite, error) {
 }
 
 // epilogue finishes a run: trace export, metrics (on stderr, so they
-// never mix into figure output), and the failure summary. The return value is the exit status — 0 clean, 1 on
-// an export error, 3 when sweeps completed around recorded failures.
+// never mix into figure output), the failure summary, and the -cache-dir
+// check. The return value is the exit status — 0 clean, 1 on an export
+// error or when -cache-dir did not take every result, 3 when sweeps
+// completed around recorded failures.
 func (c *cli) epilogue(s *core.Suite) int {
 	if c.tracePath != "" {
 		if err := s.Tracer.WriteFile(c.tracePath); err != nil {
@@ -324,9 +328,19 @@ func (c *cli) epilogue(s *core.Suite) int {
 			fmt.Fprintln(c.errOut, snap.Format())
 		}
 	}
-	if failures := s.Failures(); len(failures) > 0 {
+	failures := s.Failures()
+	if len(failures) > 0 {
 		fmt.Fprintln(c.out, failureTable(failures).Format())
 		fmt.Fprintf(c.errOut, "amdmb: %d point(s) failed and were recorded; sweeps completed\n", len(failures))
+	}
+	// The persist tier is best-effort inside the pipeline, but -cache-dir
+	// is this run's only persistence: a shard, a resume and a merge all
+	// depend on it, so a result it did not take fails the run.
+	if n := s.Metrics().Snapshot().Get("pipeline.persist.errors"); n > 0 {
+		fmt.Fprintf(c.errOut, "amdmb: -cache-dir %s: %d persist error(s); results were not all saved\n", c.cacheDir, n)
+		return 1
+	}
+	if len(failures) > 0 {
 		return 3
 	}
 	return 0

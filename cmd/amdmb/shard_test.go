@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -94,5 +96,31 @@ func TestCampaignShardUsage(t *testing.T) {
 				t.Errorf("stderr missing %q: %s", tc.want, stderr)
 			}
 		})
+	}
+}
+
+// TestCacheDirWriteFailureFails pins that -cache-dir is not best-effort
+// at the command surface: a shard exists only to persist its results,
+// and a resume or merge depends on them, so a directory that cannot take
+// them fails the run instead of exiting 0. The directory sits under a
+// regular file, which no user, root included, can create it beneath.
+func TestCacheDirWriteFailureFails(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cache := filepath.Join(file, "cache")
+	for _, args := range [][]string{
+		{"campaign", "-figs", "fig16", "-iters", "1", "-max-domain", "16", "-cache-dir", cache, "-shard", "0/2"},
+		{"campaign", "-figs", "fig16", "-iters", "1", "-max-domain", "16", "-cache-dir", cache, "-csv"},
+		{"-iters", "1", "-max-domain", "16", "-cache-dir", cache, "-csv", "fig16"},
+	} {
+		code, _, stderr := runCLI(t, args...)
+		if code != 1 {
+			t.Errorf("%q: exit %d, want 1; stderr: %s", args, code, stderr)
+		}
+		if !strings.Contains(stderr, "persist error") {
+			t.Errorf("%q: stderr does not name the persist errors: %s", args, stderr)
+		}
 	}
 }

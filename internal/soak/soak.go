@@ -270,6 +270,14 @@ func (c *campaign) runKillResume(st step) ([]core.Run, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The persist tier must never fail here: every write is crash-atomic
+	// and the interrupt is a clean cancellation, so neither suite may
+	// meet an unreadable entry or lose a write.
+	for _, s := range []*core.Suite{victim, resumed} {
+		if n := s.Metrics().Snapshot().Get("pipeline.persist.errors"); n > 0 {
+			return nil, fmt.Errorf("kill/resume counted %d persist errors at step %d", n, st.Index)
+		}
+	}
 	c.report.Resumed += resumed.Metrics().Snapshot().Get("pipeline.persist.hits")
 	return res.Runs[0], nil
 }

@@ -219,6 +219,21 @@ func TestKillResumeEveryStep(t *testing.T) {
 	}
 }
 
+// TestKillResumeFailsOnPersistErrors pins that a kill/resume step whose
+// persist directory cannot take a write fails, rather than passing the
+// identity oracle on two recomputes. The step directories sit under a
+// regular file, which no user, root included, can create them beneath.
+func TestKillResumeFailsOnPersistErrors(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Seed: 17, Steps: 1, KernelsPerStep: 3, KillEvery: 1, Workers: 1, ScratchDir: file}
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "persist errors") {
+		t.Fatalf("Run over an unwritable persist dir: err = %v, want persist errors", err)
+	}
+}
+
 // TestMetricsOracleCatchesSkew plants a skew between the campaign's
 // bookkeeping and the suite's counters and demands the metrics oracle
 // notice: the oracle guards real accounting, not tautologies.

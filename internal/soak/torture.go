@@ -17,15 +17,20 @@ import (
 // which is exactly what the crash-atomic write protocol must survive.
 // The harness runs a child amdmb sweep against a cache directory, waits
 // for it to make progress, kills it without ceremony, and repeats; the
-// final run must complete cleanly with every persisted entry readable,
-// and the caller compares its output bit-for-bit against an
-// uninterrupted run.
+// final run must complete cleanly, and the caller compares its output
+// bit-for-bit against an uninterrupted run. The directory is scanned for
+// torn entries after every child exits and before the next one starts:
+// a later child that loads a torn entry treats it as a miss and
+// rewrites it, so a scan made only at the end would never see the tear.
 
 // TortureConfig parameterises a torture session.
 type TortureConfig struct {
 	// NewChild builds the child command for each cycle. Every cycle's
 	// command must describe the same sweep against CacheDir, or the
-	// resume serves nothing and nothing is being tested.
+	// resume serves nothing and nothing is being tested. A child must
+	// exit nonzero when its persist tier counted an error (a failed
+	// write, or an entry it could not read), so that the final run
+	// vouches for the directory it leaves behind.
 	NewChild func(cycle int) *exec.Cmd
 	// CacheDir is the persist directory the children share; progress is
 	// measured by its entry count growing.
@@ -48,9 +53,10 @@ type TortureResult struct {
 	// CleanExits counts children that finished the sweep before the kill
 	// landed (the sweep ran out of points to torture).
 	CleanExits int
-	// Unreadable counts persisted entries that fail to parse afterwards —
-	// every one is a torn write the atomic write protocol let through,
-	// and the caller should treat any nonzero count as a failure.
+	// Unreadable counts the distinct persisted entries that failed to
+	// parse in any scan — every one is a torn write the atomic write
+	// protocol let through, and the caller should treat any nonzero count
+	// as a failure.
 	Unreadable int
 	// Restored is the entry count the final clean run started from.
 	Restored int
@@ -75,6 +81,15 @@ func Torture(cfg TortureConfig) (*TortureResult, error) {
 	}
 
 	res := &TortureResult{}
+	torn := map[string]bool{}
+	scan := func() {
+		for _, path := range cacheEntries(cfg.CacheDir) {
+			if !torn[path] && !readable(path) {
+				torn[path] = true
+				res.Unreadable++
+			}
+		}
+	}
 	for cycle := 0; cycle < cycles; cycle++ {
 		base := len(cacheEntries(cfg.CacheDir))
 		cmd := cfg.NewChild(cycle)
@@ -95,6 +110,7 @@ func Torture(cfg TortureConfig) (*TortureResult, error) {
 					return res, fmt.Errorf("soak: torture cycle %d: child failed before kill: %w", cycle, err)
 				}
 				res.CleanExits++
+				scan()
 				break wait
 			default:
 			}
@@ -103,6 +119,7 @@ func Torture(cfg TortureConfig) (*TortureResult, error) {
 				// mid-write.
 				_ = cmd.Process.Kill()
 				<-exited
+				scan()
 				res.Kills++
 				killed = true
 				break wait
@@ -146,7 +163,7 @@ func Torture(cfg TortureConfig) (*TortureResult, error) {
 		return res, fmt.Errorf("soak: torture final run exceeded %v", timeout)
 	}
 
-	res.Unreadable = unreadable(cacheEntries(cfg.CacheDir))
+	scan()
 	return res, nil
 }
 
@@ -159,15 +176,9 @@ func cacheEntries(dir string) []string {
 	return paths
 }
 
-// unreadable counts the entries that do not parse: each one is a torn
-// write the crash-atomic protocol let through.
-func unreadable(paths []string) int {
-	n := 0
-	for _, path := range paths {
-		data, err := os.ReadFile(path)
-		if err != nil || !json.Valid(data) {
-			n++
-		}
-	}
-	return n
+// readable reports whether the entry at path parses; one that does not
+// is a torn write the crash-atomic protocol let through.
+func readable(path string) bool {
+	data, err := os.ReadFile(path)
+	return err == nil && json.Valid(data)
 }

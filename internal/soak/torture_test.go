@@ -25,8 +25,13 @@ const (
 )
 
 func TestMain(m *testing.M) {
-	if os.Getenv(childEnvMarker) == "1" {
+	switch os.Getenv(childEnvMarker) {
+	case "1":
 		os.Exit(tortureChild())
+	case "tear":
+		os.Exit(tearChild(`{"Seco`, time.Minute))
+	case "heal":
+		os.Exit(tearChild(`{"Seconds":1}`, 0))
 	}
 	os.Exit(m.Run())
 }
@@ -55,6 +60,10 @@ func tortureChild() int {
 	runs, err := s.RunKernelPoints(childPoints())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	if n := s.Metrics().Snapshot().Get("pipeline.persist.errors"); n > 0 {
+		fmt.Fprintf(os.Stderr, "%d persist errors\n", n)
 		return 1
 	}
 	data, err := json.MarshalIndent(runs, "", " ")
@@ -169,7 +178,66 @@ func TestCacheEntriesCounts(t *testing.T) {
 		}
 	}
 	entries := cacheEntries(dir)
-	if n, bad := len(entries), unreadable(entries); n != 3 || bad != 1 {
+	bad := 0
+	for _, path := range entries {
+		if !readable(path) {
+			bad++
+		}
+	}
+	if n := len(entries); n != 3 || bad != 1 {
 		t.Fatalf("counted %d entries, %d unreadable; want 3 and 1", n, bad)
+	}
+}
+
+// tearChild publishes body as one entry under the inherited cache
+// directory, then sleeps for hang. With a torn body and a long hang it
+// stands in for a writer the atomic protocol failed, killed mid-sweep;
+// with a valid body and no hang, for a resume that rewrote the entry.
+func tearChild(body string, hang time.Duration) int {
+	dir := filepath.Join(os.Getenv(childEnvCacheDir), "simulate", "ab")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return 1
+	}
+	if err := os.WriteFile(filepath.Join(dir, "ab01.json"), []byte(body), 0o644); err != nil {
+		return 1
+	}
+	time.Sleep(hang)
+	return 0
+}
+
+// TestTortureCountsTearBeforeResumeHeals keeps the torn-write gate
+// honest: a resumed sweep rewrites a torn entry as a miss, so the
+// harness must count the tear before the next child starts, not after
+// the survivor. The victim tears an entry and is killed; the survivor
+// heals it; the tear must still be counted.
+func TestTortureCountsTearBeforeResumeHeals(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocesses")
+	}
+	cache := t.TempDir()
+	res, err := Torture(TortureConfig{
+		NewChild: func(cycle int) *exec.Cmd {
+			mode := "tear"
+			if cycle > 0 {
+				mode = "heal" // the survivor rewrites the entry, as a resume would
+			}
+			cmd := exec.Command(os.Args[0])
+			cmd.Env = append(os.Environ(), childEnvMarker+"="+mode, childEnvCacheDir+"="+cache)
+			return cmd
+		},
+		CacheDir: cache,
+		Cycles:   1,
+		Poll:     time.Millisecond,
+		Timeout:  30 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Kills != 1 || res.Unreadable != 1 {
+		t.Fatalf("kills=%d unreadable=%d, want 1 and 1", res.Kills, res.Unreadable)
+	}
+	data, err := os.ReadFile(filepath.Join(cache, "simulate", "ab", "ab01.json"))
+	if err != nil || !json.Valid(data) {
+		t.Fatalf("survivor did not heal the entry: %q %v", data, err)
 	}
 }
