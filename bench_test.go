@@ -32,6 +32,25 @@ func newSuite() *core.Suite {
 	return core.NewSuite()
 }
 
+// runFigures plans the named figures as one campaign on s and runs it —
+// the path `amdmb <fig>...` takes.
+func runFigures(b *testing.B, s *core.Suite, names ...string) *campaign.Result {
+	b.Helper()
+	specs, err := campaign.Specs(s, names)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := campaign.NewPlan(specs, campaign.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := plan.Run(s)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
 func firstY(fig *report.Figure, label string) float64 {
 	for _, s := range fig.Series {
 		if s.Label == label && len(s.Points) > 0 {
@@ -74,11 +93,7 @@ func BenchmarkFig7ALUFetch(b *testing.B) {
 	s := newSuite()
 	var fig *report.Figure
 	for i := 0; i < b.N; i++ {
-		var err error
-		fig, _, err = s.Fig7()
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig = runFigures(b, s, "fig7").Figures[0]
 	}
 	b.ReportMetric(core.CrossoverOf(fig, "4870 Pixel Float"), "crossover-4870-float")
 	b.ReportMetric(core.CrossoverOf(fig, "4870 Pixel Float4"), "crossover-4870-float4")
@@ -97,9 +112,7 @@ func repeatedSweep(b *testing.B, disableCache bool) {
 		s.Iterations = 1
 		s.DisableArtifactCache = disableCache
 		for r := 0; r < repeats; r++ {
-			if _, _, err := s.Fig7(); err != nil {
-				b.Fatal(err)
-			}
+			runFigures(b, s, "fig7")
 		}
 		for _, st := range s.Pipeline().Stats().Stages {
 			hits += st.Hits + st.Coalesced
@@ -164,11 +177,7 @@ func BenchmarkFig8ALUFetchBlock4x16(b *testing.B) {
 	s := newSuite()
 	var fig *report.Figure
 	for i := 0; i < b.N; i++ {
-		var err error
-		fig, _, err = s.Fig8()
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig = runFigures(b, s, "fig8").Figures[0]
 	}
 	b.ReportMetric(firstY(fig, "5870 Compute Float4"), "plateau-5870-float4-s")
 }
@@ -177,11 +186,7 @@ func BenchmarkFig9GlobalReadStreamWrite(b *testing.B) {
 	s := newSuite()
 	var fig *report.Figure
 	for i := 0; i < b.N; i++ {
-		var err error
-		fig, _, err = s.Fig9()
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig = runFigures(b, s, "fig9").Figures[0]
 	}
 	b.ReportMetric(firstY(fig, "3870 Pixel Float"), "plateau-3870-float-s")
 }
@@ -189,9 +194,7 @@ func BenchmarkFig9GlobalReadStreamWrite(b *testing.B) {
 func BenchmarkFig10GlobalReadGlobalWrite(b *testing.B) {
 	s := newSuite()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := s.Fig10(); err != nil {
-			b.Fatal(err)
-		}
+		runFigures(b, s, "fig10")
 	}
 }
 
@@ -199,11 +202,7 @@ func BenchmarkFig11TextureFetchLatency(b *testing.B) {
 	s := newSuite()
 	var fig *report.Figure
 	for i := 0; i < b.N; i++ {
-		var err error
-		fig, _, err = s.Fig11()
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig = runFigures(b, s, "fig11").Figures[0]
 	}
 	for _, sr := range fig.Series {
 		if sr.Label == "4870 Pixel Float" {
@@ -217,11 +216,7 @@ func BenchmarkFig12GlobalReadLatency(b *testing.B) {
 	s := newSuite()
 	var fig *report.Figure
 	for i := 0; i < b.N; i++ {
-		var err error
-		fig, _, err = s.Fig12()
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig = runFigures(b, s, "fig12").Figures[0]
 	}
 	for _, sr := range fig.Series {
 		if sr.Label == "3870 Pixel Float" {
@@ -235,11 +230,7 @@ func BenchmarkFig13StreamingStore(b *testing.B) {
 	s := newSuite()
 	var fig *report.Figure
 	for i := 0; i < b.N; i++ {
-		var err error
-		fig, _, err = s.Fig13()
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig = runFigures(b, s, "fig13").Figures[0]
 	}
 	for _, sr := range fig.Series {
 		if sr.Label == "4870 Pixel Float" {
@@ -253,11 +244,7 @@ func BenchmarkFig14GlobalWrite(b *testing.B) {
 	s := newSuite()
 	var fig *report.Figure
 	for i := 0; i < b.N; i++ {
-		var err error
-		fig, _, err = s.Fig14()
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig = runFigures(b, s, "fig14").Figures[0]
 	}
 	var slopeF, slopeF4 float64
 	for _, sr := range fig.Series {
@@ -277,12 +264,7 @@ func BenchmarkFig14GlobalWrite(b *testing.B) {
 func BenchmarkFig15DomainSize(b *testing.B) {
 	s := newSuite()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := s.Fig15Pixel(); err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := s.Fig15Compute(); err != nil {
-			b.Fatal(err)
-		}
+		runFigures(b, s, "fig15a", "fig15b")
 	}
 }
 
@@ -290,11 +272,7 @@ func BenchmarkFig16RegisterUsage(b *testing.B) {
 	s := newSuite()
 	var fig *report.Figure
 	for i := 0; i < b.N; i++ {
-		var err error
-		fig, _, err = s.Fig16()
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig = runFigures(b, s, "fig16").Figures[0]
 	}
 	for _, sr := range fig.Series {
 		if sr.Label == "4870 Pixel Float" && len(sr.Points) > 1 {
@@ -307,20 +285,14 @@ func BenchmarkFig16RegisterUsage(b *testing.B) {
 func BenchmarkFig17RegisterUsage4x16(b *testing.B) {
 	s := newSuite()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := s.Fig17(); err != nil {
-			b.Fatal(err)
-		}
+		runFigures(b, s, "fig17")
 	}
 }
 
 func BenchmarkClauseUsageControl(b *testing.B) {
 	s := newSuite()
 	for i := 0; i < b.N; i++ {
-		_, runs, err := s.ClauseControl()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(runs) == 0 {
+		if runs := runFigures(b, s, "clausectl").Runs[0]; len(runs) == 0 {
 			b.Fatal("control produced no runs")
 		}
 	}
@@ -330,11 +302,7 @@ func BenchmarkExtTransThroughput(b *testing.B) {
 	s := newSuite()
 	var fig *report.Figure
 	for i := 0; i < b.N; i++ {
-		var err error
-		fig, _, err = s.TransThroughput(core.TransThroughputConfig{Arch: device.RV770})
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig = runFigures(b, s, "trans").Figures[0]
 	}
 	var add, rcp float64
 	for _, sr := range fig.Series {
@@ -355,11 +323,7 @@ func BenchmarkExtBlockSizeSweep(b *testing.B) {
 	s := newSuite()
 	var fig *report.Figure
 	for i := 0; i < b.N; i++ {
-		var err error
-		fig, _, err = s.BlockSizeSweep(core.BlockSizeConfig{})
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig = runFigures(b, s, "blocks").Figures[0]
 	}
 	for _, sr := range fig.Series {
 		if sr.Label == "4870 Compute Float" {
@@ -396,19 +360,11 @@ func BenchmarkExtAblationStudy(b *testing.B) {
 // between the two benchmarks is the realized saving.
 
 func BenchmarkSequentialBundle(b *testing.B) {
-	figs := []func(*core.Suite) (*report.Figure, []core.Run, error){
-		(*core.Suite).Fig7, (*core.Suite).Fig8, (*core.Suite).Fig11, (*core.Suite).Fig16,
-	}
 	executed := 0
 	for i := 0; i < b.N; i++ {
 		executed = 0
-		for _, fig := range figs {
-			s := newSuite()
-			_, runs, err := fig(s)
-			if err != nil {
-				b.Fatal(err)
-			}
-			executed += len(runs)
+		for _, fig := range []string{"fig7", "fig8", "fig11", "fig16"} {
+			executed += len(runFigures(b, newSuite(), fig).Runs[0])
 		}
 	}
 	b.ReportMetric(float64(executed), "points-executed")
@@ -417,19 +373,7 @@ func BenchmarkSequentialBundle(b *testing.B) {
 func BenchmarkCampaignBundle(b *testing.B) {
 	var res *campaign.Result
 	for i := 0; i < b.N; i++ {
-		s := newSuite()
-		specs, err := campaign.Specs(s, []string{"fig7", "fig8", "fig11", "fig16"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		plan, err := campaign.NewPlan(specs, campaign.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res, err = plan.Run(s); err != nil {
-			b.Fatal(err)
-		}
-		if res.Failed() != 0 {
+		if res = runFigures(b, newSuite(), "fig7", "fig8", "fig11", "fig16"); res.Failed() != 0 {
 			b.Fatalf("%d units failed", res.Failed())
 		}
 	}
@@ -471,15 +415,7 @@ func BenchmarkHierInfer(b *testing.B) {
 func BenchmarkHierLadderSweep(b *testing.B) {
 	points := 0
 	for i := 0; i < b.N; i++ {
-		s := newSuite()
-		spec, err := hier.LatencyLadderSpec(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, runs, err := s.RunFigureSpec(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
+		runs := runFigures(b, newSuite(), "hier-lat").Runs[0]
 		for _, r := range runs {
 			if r.Failed() {
 				b.Fatalf("point %s x=%g failed: %s", r.Card.Label(), r.X, r.Err)

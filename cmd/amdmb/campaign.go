@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"amdgpubench/internal/campaign"
+	"amdgpubench/internal/core"
 )
 
 // The campaign subcommand: plan several figures as one deduplicated DAG
@@ -43,9 +44,9 @@ import (
 //	amdmb campaign -figs fig7,fig8 -csv -remote http://127.0.0.1:7821
 //
 // Figures print to stdout in -figs order with exactly the rendering the
-// per-figure experiments use; the campaign summary line goes to stderr,
-// so piped stdout of a -csv campaign is byte-for-byte the concatenation
-// of the individual figures' CSV output. Exit status matches the main
+// positional form uses; the campaign summary line goes to stderr, so
+// piped stdout of a -csv campaign is byte-for-byte the concatenation of
+// the individual figures' CSV output. Exit status matches the main
 // command: 0 on success, 1 on a fatal error, 2 on usage errors, 3 when
 // units completed but recorded per-point failures.
 
@@ -73,6 +74,10 @@ func runCampaignCmd(argv []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
+	if err := c.checkFlags(); err != nil {
+		fmt.Fprintf(stderr, "amdmb campaign: %v\n", err)
+		return 2
+	}
 	shard, shards := 0, 1
 	if shardSpec != "" {
 		if n, err := fmt.Sscanf(shardSpec, "%d/%d", &shard, &shards); n != 2 || err != nil || shards < 1 || shard < 0 || shard >= shards {
@@ -93,25 +98,7 @@ func runCampaignCmd(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "figures: %s\n", strings.Join(campaign.FigureNames(), " "))
 		return 2
 	}
-	var names []string
-	for _, n := range strings.Split(figs, ",") {
-		n = strings.ToLower(strings.TrimSpace(n))
-		if n == "" {
-			continue
-		}
-		// Trailing-'*' globs expand below; plain names must be known.
-		if !strings.HasSuffix(n, "*") && !campaign.Known(n) {
-			fmt.Fprintf(stderr, "amdmb campaign: unknown figure %q\n", n)
-			fmt.Fprintf(stderr, "figures: %s\n", strings.Join(campaign.FigureNames(), " "))
-			return 2
-		}
-		names = append(names, n)
-	}
-	if len(names) == 0 {
-		fmt.Fprintln(stderr, "amdmb campaign: -figs lists no figures")
-		return 2
-	}
-	names, err := campaign.Expand(names)
+	names, err := campaign.Resolve(strings.Split(figs, ","))
 	if err != nil {
 		fmt.Fprintf(stderr, "amdmb campaign: %v\n", err)
 		return 2
@@ -162,14 +149,7 @@ func runCampaignCmd(argv []string, stdout, stderr io.Writer) int {
 	}
 	s.Workers = workers
 
-	specs, err := campaign.Specs(s, names)
-	if err != nil {
-		fmt.Fprintf(stderr, "amdmb campaign: %v\n", err)
-		return 1
-	}
-	// The plan clamps domains itself with the same cap as the suite, so
-	// the dry-run schedule is exactly what the suite would execute.
-	plan, err := campaign.NewPlan(specs, campaign.Options{MaxDomain: c.maxDomain})
+	plan, err := c.planFigures(s, names)
 	if err != nil {
 		fmt.Fprintf(stderr, "amdmb campaign: %v\n", err)
 		return 1
@@ -190,7 +170,7 @@ func runCampaignCmd(argv []string, stdout, stderr io.Writer) int {
 		return c.epilogue(s)
 	}
 
-	res, err := plan.Run(s)
+	res, err := c.runPlan(s, plan)
 	if err != nil {
 		fmt.Fprintf(stderr, "amdmb campaign: %v\n", err)
 		return 1
@@ -201,8 +181,30 @@ func runCampaignCmd(argv []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	}
-	fmt.Fprintf(stderr, "campaign: figures=%d points=%d units=%d deduped=%d executed=%d failed=%d\n",
+	return c.epilogue(s)
+}
+
+// planFigures plans resolved figure names as one campaign on s. The plan
+// clamps domains itself with the same cap as the suite, so a -plan
+// dry-run schedule is exactly what the suite would execute.
+func (c *cli) planFigures(s *core.Suite, names []string) (*campaign.Plan, error) {
+	specs, err := campaign.Specs(s, names)
+	if err != nil {
+		return nil, err
+	}
+	return campaign.NewPlan(specs, campaign.Options{MaxDomain: c.maxDomain})
+}
+
+// runPlan runs a plan unsharded and reports the campaign summary on
+// stderr. Every in-process figure run goes through it: `amdmb campaign`,
+// the positional form and the summary experiment.
+func (c *cli) runPlan(s *core.Suite, plan *campaign.Plan) (*campaign.Result, error) {
+	res, err := plan.Run(s)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(c.errOut, "campaign: figures=%d points=%d units=%d deduped=%d executed=%d failed=%d\n",
 		res.Stats.Figures, res.Stats.Points, len(plan.Units), res.Stats.DedupedTotal(),
 		res.Executed, res.Failed())
-	return c.epilogue(s)
+	return res, nil
 }

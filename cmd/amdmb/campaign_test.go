@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -12,29 +13,41 @@ import (
 // TestCampaignMatchesGoldens is the subsystem's acceptance test: a
 // campaign over the four golden-pinned figures, with the artifact caches
 // disabled so the scheduler's dedup is the only sharing in play, must
-// write to stdout exactly the concatenation of the four golden CSVs —
-// the bytes `amdmb fig7`, `amdmb fig8`, ... produce one at a time —
-// while its summary reports a nonzero dedup count.
+// write to stdout exactly the concatenation of the four golden CSVs
+// while its summary reports a nonzero dedup count. The positional
+// spelling plans the same campaign and prints the figures in sorted
+// order.
 func TestCampaignMatchesGoldens(t *testing.T) {
-	code, out, stderr := runCLI(t,
-		"campaign", "-figs", strings.Join(goldenFigures, ","), "-iters", "1", "-csv", "-no-cache")
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, stderr)
+	sorted := append([]string(nil), goldenFigures...)
+	sort.Strings(sorted)
+	cases := []struct {
+		name  string
+		args  []string
+		order []string
+	}{
+		{"campaign", []string{"campaign", "-figs", strings.Join(goldenFigures, ","), "-iters", "1", "-csv", "-no-cache"}, goldenFigures},
+		{"positional", append([]string{"-csv", "-iters", "1", "-no-cache"}, goldenFigures...), sorted},
 	}
-
-	if want := concatenatedGoldens(t); out != want {
-		t.Errorf("campaign stdout is not the concatenation of the goldens:\n%s", firstDiff(want, out))
-	}
-
-	m := regexp.MustCompile(`deduped=(\d+)`).FindStringSubmatch(stderr)
-	if m == nil {
-		t.Fatalf("no dedup count in summary: %s", stderr)
-	}
-	if n, _ := strconv.Atoi(m[1]); n == 0 {
-		t.Errorf("flagship bundle campaign reported deduped=0: %s", stderr)
-	}
-	if !strings.Contains(stderr, "failed=0") {
-		t.Errorf("summary missing failed=0: %s", stderr)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			code, out, stderr := runCLI(t, tc.args...)
+			if code != 0 {
+				t.Fatalf("exit %d, stderr: %s", code, stderr)
+			}
+			if want := concatenatedGoldensIn(t, tc.order); out != want {
+				t.Errorf("stdout is not the concatenation of the goldens:\n%s", firstDiff(want, out))
+			}
+			m := regexp.MustCompile(`deduped=(\d+)`).FindStringSubmatch(stderr)
+			if m == nil {
+				t.Fatalf("no dedup count in summary: %s", stderr)
+			}
+			if n, _ := strconv.Atoi(m[1]); n == 0 {
+				t.Errorf("flagship bundle campaign reported deduped=0: %s", stderr)
+			}
+			if !strings.Contains(stderr, "failed=0") {
+				t.Errorf("summary missing failed=0: %s", stderr)
+			}
+		})
 	}
 }
 
@@ -92,7 +105,9 @@ func TestCampaignUsage(t *testing.T) {
 		{"unknown figure", []string{"campaign", "-figs", "fig99"}, 2, "unknown figure"},
 		{"positional figure", []string{"campaign", "-figs", "fig16", "fig7"}, 2, "unexpected arguments"},
 		{"empty list", []string{"campaign", "-figs", ","}, 2, "no figures"},
-		{"duplicate figure", []string{"campaign", "-figs", "fig16,fig16", "-plan"}, 1, "listed twice"},
+		{"duplicate figure", []string{"campaign", "-figs", "fig16,fig16", "-plan"}, 2, "listed twice"},
+		{"negative iters", []string{"campaign", "-figs", "fig13", "-iters", "-1", "-max-domain", "16", "-csv"}, 2, "-iters"},
+		{"negative max-domain", []string{"campaign", "-figs", "fig13", "-max-domain", "-1", "-plan"}, 2, "-max-domain"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

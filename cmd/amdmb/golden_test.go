@@ -25,8 +25,15 @@ var goldenFigures = []string{"fig7", "fig8", "fig11", "fig16"}
 // goldenFigures: each figure's golden CSV, in order.
 func concatenatedGoldens(t *testing.T) string {
 	t.Helper()
+	return concatenatedGoldensIn(t, goldenFigures)
+}
+
+// concatenatedGoldensIn concatenates the named figures' golden CSVs in
+// the order given.
+func concatenatedGoldensIn(t *testing.T, figs []string) string {
+	t.Helper()
 	var want strings.Builder
-	for _, fig := range goldenFigures {
+	for _, fig := range figs {
 		data, err := os.ReadFile(filepath.Join("testdata", "golden", fig+".csv"))
 		if err != nil {
 			t.Fatalf("%v (run `go test ./cmd/amdmb -run TestGoldenFigureCSVs -update-goldens` to pin)", err)

@@ -1,10 +1,10 @@
 package main
 
-// Golden pinning for the memory-hierarchy dissection figures. These
-// only exist as campaign figures (there is no per-figure experiment),
-// so every test here drives `amdmb campaign`, which also pins the
-// trailing-'*' glob expansion, the cached-vs-uncached identity and the
-// sharded-vs-direct identity of the new sweeps.
+// Golden pinning for the memory-hierarchy dissection figures. The tests
+// here mostly drive `amdmb campaign`, which also pins the trailing-'*'
+// glob expansion, the cached-vs-uncached identity and the
+// sharded-vs-direct identity of the new sweeps; one case runs the glob
+// in the positional form.
 
 import (
 	"os"
@@ -40,6 +40,20 @@ func TestHierGoldenCSVs(t *testing.T) {
 			}
 		})
 	}
+	// The positional form resolves names, globs included, through the
+	// same registry; it prints figures in sorted order.
+	t.Run("positional", func(t *testing.T) {
+		if *updateGoldens {
+			t.Skip("regenerating")
+		}
+		code, out, stderr := runCLI(t, "-iters", "1", "-csv", "hier-*")
+		if code != 0 {
+			t.Fatalf("exit %d, stderr: %s", code, stderr)
+		}
+		if want := concatenatedHierGoldens(t); out != want {
+			t.Errorf("positional hier-* stdout diverges from goldens:\n%s", firstDiff(want, out))
+		}
+	})
 }
 
 // concatenatedHierGoldens is the stdout a `-figs 'hier-*' -csv` campaign
@@ -105,7 +119,7 @@ func TestCampaignGlobUsage(t *testing.T) {
 		!strings.Contains(stderr, "matches no figure") {
 		t.Errorf("empty glob: exit %d, stderr %s", code, stderr)
 	}
-	if code, _, stderr := runCLI(t, "campaign", "-figs", "hier-*,hier-lat", "-plan"); code != 1 ||
+	if code, _, stderr := runCLI(t, "campaign", "-figs", "hier-*,hier-lat", "-plan"); code != 2 ||
 		!strings.Contains(stderr, "listed twice") {
 		t.Errorf("glob+member duplicate: exit %d, stderr %s", code, stderr)
 	}

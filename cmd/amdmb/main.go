@@ -4,23 +4,28 @@
 //
 // Usage:
 //
-//	amdmb [flags] <experiment>...
+//	amdmb [flags] <experiment|figure>...
 //	amdmb campaign -figs fig7,fig8,fig11,fig16 [flags]
 //	amdmb infer [flags]
 //	amdmb soak [flags]
 //
-// Experiments: table1 fig2 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14
-// fig15a fig15b fig16 fig17 clausectl trans blocks consts summary ablate
-// all
+// Experiments: table1 fig2 summary ablate. Figures: fig7 fig8 fig9
+// fig10 fig11 fig12 fig13 fig14 fig15a fig15b fig16 fig17 clausectl
+// trans blocks consts, and the memory-hierarchy dissection figures
+// hier-lat hier-line hier-stride hier-wset (internal/hier). A trailing
+// '*' globs figure names ('hier-*' is the whole dissection), and `all`
+// selects every experiment and every figure. Names run in sorted order;
+// naming one twice is a usage error.
 //
-// The campaign subcommand plans several figures as one deduplicated DAG
-// of launch units and executes them as a single resilient sweep, so
-// work shared between figures runs once; `-plan` prints the schedule and dedup statistics
-// without running. See campaign.go and internal/campaign; `amdmb
-// campaign -h` lists its flags. Beyond the paper's figures, the
-// campaign registry includes the memory-hierarchy dissection figures
-// hier-lat, hier-wset, hier-line and hier-stride (internal/hier); a
-// trailing-'*' glob like `-figs 'hier-*'` plans a whole family.
+// Figures are names in the campaign registry (internal/campaign), and
+// every figure runs as a campaign: the positional form plans all the
+// figures it selects as one deduplicated DAG of launch units and
+// executes them as a single resilient sweep, so work shared between
+// figures runs once, and reports the campaign summary on stderr. The
+// campaign subcommand takes its figures in -figs order and adds a
+// dry-run schedule (-plan), sharding (-shard) and remote execution on an
+// amdmbd daemon (-remote); see campaign.go, and `amdmb campaign -h` for
+// its flags.
 //
 // The infer subcommand runs the memory-hierarchy dissection and
 // recovers L1/L2 capacity, line size, associativity and the miss-hit
@@ -60,17 +65,20 @@
 //	-metrics-json      like -metrics but as JSON (implies -metrics)
 //	-progress          show a live per-sweep progress line on stderr (points
 //	                   done/total, failures, cache hit rate, ETA)
-//	-max-domain N      clamp every sweep domain to at most NxN (CI smoke runs)
+//	-max-domain N      clamp every sweep domain to at most NxN (CI smoke runs;
+//	                   0 = no clamp)
 //	-cpuprofile file   write a CPU profile of the run (go tool pprof format)
 //	-memprofile file   write a heap profile on exit (go tool pprof format)
 //
 // Exit status: 0 on success, 1 on a fatal error (including a -cache-dir
-// that did not take every result), 2 on usage errors, 3 when the sweeps
+// that did not take every result), 2 on usage errors (an unknown or
+// repeated name, a negative -iters or -max-domain), 3 when the sweeps
 // completed but recorded per-point failures (printed in the
 // failure-summary table).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -81,6 +89,7 @@ import (
 	"sort"
 	"strings"
 
+	"amdgpubench/internal/campaign"
 	"amdgpubench/internal/core"
 	"amdgpubench/internal/device"
 	"amdgpubench/internal/fault"
@@ -116,26 +125,12 @@ type cli struct {
 	errOut io.Writer
 }
 
+// experiment is one of the positional form's non-figure experiments;
+// every other name is a figure, resolved through the campaign registry.
 type experiment struct {
 	name string
 	desc string
 	run  func(s *core.Suite) error
-}
-
-func (c *cli) figExperiment(name, desc string, f func(s *core.Suite) (*report.Figure, []core.Run, error)) experiment {
-	return experiment{name: name, desc: desc, run: func(s *core.Suite) error {
-		fig, runs, err := f(s)
-		if err != nil {
-			return err
-		}
-		if err := c.emitFigure(fig); err != nil {
-			return err
-		}
-		if c.showRuns {
-			c.emitRuns(runs)
-		}
-		return nil
-	}}
 }
 
 func (c *cli) experiments() []experiment {
@@ -147,28 +142,6 @@ func (c *cli) experiments() []experiment {
 		{"fig2", "example ISA disassembly", func(s *core.Suite) error {
 			return c.printFig2()
 		}},
-		c.figExperiment("fig7", "ALU:Fetch ratio, texture reads", (*core.Suite).Fig7),
-		c.figExperiment("fig8", "ALU:Fetch ratio, 4x16 block", (*core.Suite).Fig8),
-		c.figExperiment("fig9", "ALU:Fetch ratio, global read + stream write", (*core.Suite).Fig9),
-		c.figExperiment("fig10", "ALU:Fetch ratio, global read + global write", (*core.Suite).Fig10),
-		c.figExperiment("fig11", "texture fetch latency", (*core.Suite).Fig11),
-		c.figExperiment("fig12", "global read latency", (*core.Suite).Fig12),
-		c.figExperiment("fig13", "streaming store latency", (*core.Suite).Fig13),
-		c.figExperiment("fig14", "global write latency", (*core.Suite).Fig14),
-		c.figExperiment("fig15a", "domain size, pixel shader", (*core.Suite).Fig15Pixel),
-		c.figExperiment("fig15b", "domain size, compute shader", (*core.Suite).Fig15Compute),
-		c.figExperiment("fig16", "register pressure", (*core.Suite).Fig16),
-		c.figExperiment("fig17", "register pressure, 4x16 block", (*core.Suite).Fig17),
-		c.figExperiment("clausectl", "clause usage control (flat)", (*core.Suite).ClauseControl),
-		c.figExperiment("trans", "extension: transcendental vs basic ALU chains", func(s *core.Suite) (*report.Figure, []core.Run, error) {
-			return s.TransThroughput(core.TransThroughputConfig{Arch: device.RV770})
-		}),
-		c.figExperiment("blocks", "extension: compute block-size sweep", func(s *core.Suite) (*report.Figure, []core.Run, error) {
-			return s.BlockSizeSweep(core.BlockSizeConfig{})
-		}),
-		c.figExperiment("consts", "extension: constant count sweep (flat)", func(s *core.Suite) (*report.Figure, []core.Run, error) {
-			return s.ConstantsSweep(core.ConstantsConfig{Arch: device.RV770})
-		}),
 		{"summary", "one-screen paper-vs-measured reproduction digest", c.runSummary},
 		{"ablate", "extension: hardware-mechanism ablation study", func(s *core.Suite) error {
 			res, err := s.AblationStudy()
@@ -277,6 +250,18 @@ func (c *cli) commonFlags(fs *flag.FlagSet) {
 	fs.IntVar(&c.maxDomain, "max-domain", 0, "clamp every sweep domain to at most NxN (0 = no clamp)")
 }
 
+// checkFlags rejects common flag values no run can honour; the caller
+// exits 2.
+func (c *cli) checkFlags() error {
+	if c.iters < 0 {
+		return fmt.Errorf("-iters %d: the iteration count cannot be negative", c.iters)
+	}
+	if c.maxDomain < 0 {
+		return fmt.Errorf("-max-domain %d: the domain clamp cannot be negative", c.maxDomain)
+	}
+	return nil
+}
+
 // newSuite builds the suite the parsed flags describe. A bad fault plan
 // is the only way it fails, and that is a usage error.
 func (c *cli) newSuite() (*core.Suite, error) {
@@ -369,10 +354,14 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
+	if err := c.checkFlags(); err != nil {
+		fmt.Fprintf(stderr, "amdmb: %v\n", err)
+		return 2
+	}
 	args := fs.Args()
 	exps := c.experiments()
 	if len(args) == 0 {
-		fmt.Fprintln(stderr, "usage: amdmb [flags] <experiment>...")
+		fmt.Fprintln(stderr, "usage: amdmb [flags] <experiment|figure>...")
 		fmt.Fprintln(stderr, "       amdmb campaign -figs a,b,... [flags]   (deduped multi-figure schedule; amdmb campaign -h)")
 		fmt.Fprintln(stderr, "       amdmb infer [flags]   (recover the cache model from measured curves; amdmb infer -h)")
 		fmt.Fprintln(stderr, "       amdmb soak [flags]   (adversarial stress campaigns; amdmb soak -h)")
@@ -380,30 +369,55 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		for _, e := range exps {
 			fmt.Fprintf(stderr, "  %-10s %s\n", e.name, e.desc)
 		}
-		fmt.Fprintln(stderr, "  all        run everything")
+		fmt.Fprintln(stderr, "  all        every experiment and every figure")
+		fmt.Fprintf(stderr, "figures (a trailing '*' globs, e.g. 'hier-*'): %s\n", strings.Join(campaign.FigureNames(), " "))
 		return 2
 	}
 
+	// Names split into experiments and figures; "all" is every
+	// experiment plus the glob matching every figure. The registry
+	// resolves the figures, and selection runs in sorted order.
 	byName := map[string]experiment{}
-	var order []string
 	for _, e := range exps {
 		byName[e.name] = e
-		order = append(order, e.name)
 	}
-
-	var selected []string
+	var selected, figArgs []string
 	for _, a := range args {
-		if a == "all" {
-			selected = order
-			break
+		n := strings.ToLower(strings.TrimSpace(a))
+		switch _, isExp := byName[n]; {
+		case n == "all":
+			for _, e := range exps {
+				selected = append(selected, e.name)
+			}
+			figArgs = append(figArgs, "*")
+		case isExp:
+			selected = append(selected, n)
+		default:
+			figArgs = append(figArgs, n)
 		}
-		if _, ok := byName[strings.ToLower(a)]; !ok {
-			fmt.Fprintf(stderr, "amdmb: unknown experiment %q\n", a)
+	}
+	var figs []string
+	if len(figArgs) > 0 {
+		var err error
+		if figs, err = campaign.Resolve(figArgs); err != nil {
+			var unknown campaign.UnknownFigureError
+			if errors.As(err, &unknown) {
+				fmt.Fprintf(stderr, "amdmb: unknown experiment %q\n", unknown.Name)
+			} else {
+				fmt.Fprintf(stderr, "amdmb: %v\n", err)
+			}
 			return 2
 		}
-		selected = append(selected, strings.ToLower(a))
+		sort.Strings(figs)
 	}
+	selected = append(selected, figs...)
 	sort.Strings(selected)
+	for i := 1; i < len(selected); i++ {
+		if selected[i] == selected[i-1] {
+			fmt.Fprintf(stderr, "amdmb: experiment %q listed twice\n", selected[i])
+			return 2
+		}
+	}
 
 	// Profiles cover the experiment runs only, not flag parsing; both are
 	// finalized before run returns so main's os.Exit never truncates them.
@@ -437,11 +451,37 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	// Every selected figure runs in one campaign before anything prints,
+	// so work shared between figures runs once; output then follows the
+	// sorted selection.
+	var res *campaign.Result
+	if len(figs) > 0 {
+		plan, err := c.planFigures(s, figs)
+		if err == nil {
+			res, err = c.runPlan(s, plan)
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "amdmb: %v\n", err)
+			return 1
+		}
+	}
+	next := 0
 	for _, name := range selected {
-		if err := byName[name].run(s); err != nil {
+		if e, ok := byName[name]; ok {
+			if err := e.run(s); err != nil {
+				fmt.Fprintf(stderr, "amdmb: %s: %v\n", name, err)
+				return 1
+			}
+			continue
+		}
+		if err := c.emitFigure(res.Figures[next]); err != nil {
 			fmt.Fprintf(stderr, "amdmb: %s: %v\n", name, err)
 			return 1
 		}
+		if c.showRuns {
+			c.emitRuns(res.Runs[next])
+		}
+		next++
 	}
 	return c.epilogue(s)
 }

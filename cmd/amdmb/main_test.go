@@ -82,11 +82,23 @@ func TestRunsTable(t *testing.T) {
 }
 
 func TestUsageAndUnknownExperiment(t *testing.T) {
-	if code, _, stderr := runCLI(t); code != 2 || !strings.Contains(stderr, "usage:") {
-		t.Errorf("no-args: exit %d, stderr %q", code, stderr)
+	cases := []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"no args", nil, "usage:"},
+		{"unknown experiment", []string{"fig99"}, "unknown experiment"},
+		{"repeated figure", []string{"fig13", "fig13"}, "listed twice"},
+		{"negative iters", []string{"-iters", "-1", "-max-domain", "16", "-csv", "fig13"}, "-iters"},
+		{"negative max-domain", []string{"-max-domain", "-1", "fig13"}, "-max-domain"},
 	}
-	if code, _, stderr := runCLI(t, "fig99"); code != 2 || !strings.Contains(stderr, "unknown experiment") {
-		t.Errorf("unknown experiment: exit %d, stderr %q", code, stderr)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if code, _, stderr := runCLI(t, tc.args...); code != 2 || !strings.Contains(stderr, tc.want) {
+				t.Errorf("exit %d, want 2; stderr %q, want %q", code, stderr, tc.want)
+			}
+		})
 	}
 }
 

@@ -47,10 +47,18 @@ func (c *cli) runSummary(s *core.Suite) error {
 	}
 	add := func(exp, obs, paper, measured string) { t.AddRow(exp, obs, paper, measured) }
 
-	fig7, _, err := s.Fig7()
+	// The seven figures the digest reads run as one campaign.
+	plan, err := c.planFigures(s, []string{"fig7", "fig8", "fig11", "fig12", "fig14", "fig16", "clausectl"})
 	if err != nil {
 		return err
 	}
+	res, err := c.runPlan(s, plan)
+	if err != nil {
+		return err
+	}
+	fig7, fig8, fig11, fig12, fig14, fig16 := res.Figures[0], res.Figures[1], res.Figures[2], res.Figures[3], res.Figures[4], res.Figures[5]
+	ctlRuns := res.Runs[6]
+
 	add("fig7", "4870 pixel float crossover", "~1.25", fmt.Sprintf("%.2f", core.CrossoverOf(fig7, "4870 Pixel Float")))
 	add("fig7", "4870 pixel float4 crossover", "~5.0", fmt.Sprintf("%.2f", core.CrossoverOf(fig7, "4870 Pixel Float4")))
 	add("fig7", "5870 float4 crossover later than 4870", "yes (~9)",
@@ -58,39 +66,19 @@ func (c *cli) runSummary(s *core.Suite) error {
 	add("fig7", "compute 64x1 plateau / pixel plateau (4870 float)", ">1",
 		fmt.Sprintf("%.2f", firstYOf(fig7, "4870 Compute Float")/firstYOf(fig7, "4870 Pixel Float")))
 
-	fig8, _, err := s.Fig8()
-	if err != nil {
-		return err
-	}
 	add("fig8", "4x16 speedup, 4870 compute float", "~3x",
 		fmt.Sprintf("%.2fx", firstYOf(fig7, "4870 Compute Float")/firstYOf(fig8, "4870 Compute Float")))
 	add("fig8", "4x16 speedup, 5870 compute float4", "~4x",
 		fmt.Sprintf("%.2fx", firstYOf(fig7, "5870 Compute Float4")/firstYOf(fig8, "5870 Compute Float4")))
 
-	fig11, _, err := s.Fig11()
-	if err != nil {
-		return err
-	}
-	fig12, _, err := s.Fig12()
-	if err != nil {
-		return err
-	}
 	add("fig11", "fetch latency linear in inputs", "yes",
 		fmt.Sprintf("slope %.3f s/input (4870 float)", slopeOf(fig11, "4870 Pixel Float")))
 	add("fig12", "3870 global read / texture fetch", "much slower",
 		fmt.Sprintf("%.1fx", lastYOf(fig12, "3870 Pixel Float")/lastYOf(fig11, "3870 Pixel Float")))
 
-	fig14, _, err := s.Fig14()
-	if err != nil {
-		return err
-	}
 	add("fig14", "global write float4/float slope", "~4x",
 		fmt.Sprintf("%.2fx", slopeOf(fig14, "4870 Pixel Float4")/slopeOf(fig14, "4870 Pixel Float")))
 
-	fig16, _, err := s.Fig16()
-	if err != nil {
-		return err
-	}
 	add("fig16", "register-pressure speedup, 4870 float", "~3.5x",
 		fmt.Sprintf("%.2fx", firstYOf(fig16, "4870 Pixel Float")/lastYOf(fig16, "4870 Pixel Float")))
 	add("fig16", "register-pressure speedup, 3870 float", "large",
@@ -98,10 +86,6 @@ func (c *cli) runSummary(s *core.Suite) error {
 	add("fig16", "5870 least affected", "yes",
 		fmt.Sprintf("%.2fx", firstYOf(fig16, "5870 Pixel Float")/lastYOf(fig16, "5870 Pixel Float")))
 
-	_, ctlRuns, err := s.ClauseControl()
-	if err != nil {
-		return err
-	}
 	ctlFlat := "yes"
 	for _, r := range ctlRuns {
 		if math.Abs(r.Seconds-ctlRuns[0].Seconds)/ctlRuns[0].Seconds > 0.02 && r.Card == ctlRuns[0].Card {

@@ -63,6 +63,10 @@ func run(argv []string, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "amdmbd: unexpected arguments %q\n", fs.Args())
 		return 2
 	}
+	if *iters < 0 || *maxDomain < 0 {
+		fmt.Fprintf(stderr, "amdmbd: -iters %d and -max-domain %d cannot be negative\n", *iters, *maxDomain)
+		return 2
+	}
 
 	logger := log.New(stderr, "amdmbd: ", log.LstdFlags)
 

@@ -1,9 +1,9 @@
-// Package campaign is the suite's campaign scheduler: it accepts
-// declarative figure specs (core.FigureSpec, the same specs the figure
-// methods run one at a time), expands them into a deduplicated DAG of
-// work units, schedules the units as one batch on the resilient sweep
-// runner, and fans each unit's result back out to every subscribing
-// figure point.
+// Package campaign is the suite's campaign scheduler and the one way
+// figures run: it accepts declarative figure specs (core.FigureSpec,
+// named in this package's registry), expands them into a deduplicated
+// DAG of work units, schedules the units as one batch on the resilient
+// sweep runner, and fans each unit's result back out to every
+// subscribing figure point. A single figure is a one-spec campaign.
 //
 // The DAG has three levels, mirroring the pipeline's artifact identity:
 //

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"amdgpubench/internal/core"
+	"amdgpubench/internal/report"
 )
 
 // testSuite mirrors the CLI's fast-test configuration: one timing
@@ -36,6 +37,23 @@ func mustPlan(t *testing.T, s *core.Suite, opts Options, names ...string) *Plan 
 		t.Fatal(err)
 	}
 	return p
+}
+
+// soloFigure runs one registered figure alone through
+// core.Suite.RunFigureSpec, the single-spec reference arm campaign
+// fan-out is compared against.
+func soloFigure(t *testing.T, clamp int, name string) *report.Figure {
+	t.Helper()
+	s := testSuite(clamp)
+	spec, err := registry[name].build(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig, _, err := s.RunFigureSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fig
 }
 
 // TestPlanInvariants checks the structural soundness of a plan on the
@@ -177,14 +195,8 @@ func TestCampaignMatchesSequential(t *testing.T) {
 		t.Fatalf("%d units failed", res.Failed())
 	}
 
-	direct16, _, err := testSuite(clamp).Fig16()
-	if err != nil {
-		t.Fatal(err)
-	}
-	directCtl, _, err := testSuite(clamp).ClauseControl()
-	if err != nil {
-		t.Fatal(err)
-	}
+	direct16 := soloFigure(t, clamp, "fig16")
+	directCtl := soloFigure(t, clamp, "clausectl")
 	if got, want := res.Figures[0].CSV(), direct16.CSV(); got != want {
 		t.Errorf("fig16 diverged from sequential run:\ncampaign:\n%s\nsequential:\n%s", got, want)
 	}
@@ -273,10 +285,7 @@ func TestCampaignCheckpointResume(t *testing.T) {
 		t.Fatalf("resume resolved %d of %d units", res.Executed, len(rp.Units))
 	}
 
-	direct16, _, err := testSuite(clamp).Fig16()
-	if err != nil {
-		t.Fatal(err)
-	}
+	direct16 := soloFigure(t, clamp, "fig16")
 	if res.Figures[0].CSV() != direct16.CSV() {
 		t.Error("resumed campaign fig16 diverged from sequential run")
 	}
@@ -313,8 +322,8 @@ func TestSpecsRejectsBadNames(t *testing.T) {
 // TestFigureNamesCoverRegistry keeps the advertised name list in sync.
 func TestFigureNamesCoverRegistry(t *testing.T) {
 	names := FigureNames()
-	if len(names) != len(builders) {
-		t.Fatalf("FigureNames lists %d of %d builders", len(names), len(builders))
+	if len(names) != len(registry) {
+		t.Fatalf("FigureNames lists %d of %d builders", len(names), len(registry))
 	}
 	s := testSuite(16)
 	for _, n := range names {

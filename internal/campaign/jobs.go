@@ -161,21 +161,6 @@ func NewJobs(s *core.Suite) *Jobs {
 	}
 }
 
-// noArchFilter lists figures whose Finish assembles series by point
-// POSITION (parallel label slices, per-index converters): dropping
-// points would relabel the survivors, so these reject Archs filtering.
-// Figures assembled card-major from the runs themselves (AssembleSeries
-// and the register-usage re-key) filter safely.
-var noArchFilter = map[string]bool{
-	"trans":       true,
-	"blocks":      true,
-	"consts":      true,
-	"hier-lat":    true,
-	"hier-wset":   true,
-	"hier-line":   true,
-	"hier-stride": true,
-}
-
 // effectiveIterations maps the zero value to the paper's default, so a
 // client naming the default explicitly matches a daemon left on it.
 func effectiveIterations(n int) int {
@@ -219,7 +204,7 @@ func filterSpecs(specs []Spec, archs map[device.Arch]bool) ([]Spec, error) {
 	}
 	out := make([]Spec, len(specs))
 	for i, sp := range specs {
-		if noArchFilter[sp.Name] {
+		if registry[sp.Name].positional {
 			return nil, fmt.Errorf("campaign: figure %q assembles series positionally and cannot be arch-filtered", sp.Name)
 		}
 		kept := sp.Figure.Points[:0:0]
@@ -243,9 +228,6 @@ func filterSpecs(specs []Spec, archs map[device.Arch]bool) ([]Spec, error) {
 // the job exists — and the sweep itself starts in a goroutine. The
 // returned job is already registered and running.
 func (js *Jobs) Submit(req Request) (*Job, error) {
-	if len(req.Figs) == 0 {
-		return nil, errors.New("campaign: request names no figures")
-	}
 	if have := effectiveIterations(js.suite.Iterations); req.Iterations != 0 && effectiveIterations(req.Iterations) != have {
 		return nil, fmt.Errorf("campaign: iterations %d unavailable: this service runs iterations=%d (iteration count is part of every cache identity, so one shared suite runs exactly one setting)",
 			req.Iterations, have)
@@ -253,21 +235,7 @@ func (js *Jobs) Submit(req Request) (*Job, error) {
 	if req.MaxDomain < 0 {
 		return nil, fmt.Errorf("campaign: negative max_domain %d", req.MaxDomain)
 	}
-	var names []string
-	for _, n := range req.Figs {
-		n = strings.ToLower(strings.TrimSpace(n))
-		if n == "" {
-			continue
-		}
-		if !strings.HasSuffix(n, "*") && !Known(n) {
-			return nil, fmt.Errorf("campaign: unknown figure %q (have %s)", n, strings.Join(FigureNames(), ", "))
-		}
-		names = append(names, n)
-	}
-	if len(names) == 0 {
-		return nil, errors.New("campaign: request names no figures")
-	}
-	names, err := Expand(names)
+	names, err := Resolve(req.Figs)
 	if err != nil {
 		return nil, err
 	}

@@ -39,9 +39,6 @@ type Result struct {
 	// result the persist tier already held still runs; only its
 	// simulation is served from disk.
 	Executed int
-	// Shard/Shards record the partition this result covers; 0/1 means
-	// the whole campaign.
-	Shard, Shards int
 }
 
 // Failed counts units that resolved to failure records.
@@ -161,8 +158,6 @@ func (p *Plan) runShard(ctx context.Context, s *core.Suite, shard, shards int, p
 		UnitRuns: unitRuns,
 		Stats:    p.Stats,
 		Executed: int(executed.Load()),
-		Shard:    shard,
-		Shards:   shards,
 	}
 	if shards > 1 {
 		// A shard holds only a slice of every figure; figures assemble

@@ -10,6 +10,15 @@ import (
 	"amdgpubench/internal/report"
 )
 
+// runSpec runs a spec builder's result through RunFigureSpec, passing a
+// planning error through: s.runSpec(s.Fig7Spec()).
+func (s *Suite) runSpec(spec FigureSpec, err error) (*report.Figure, []Run, error) {
+	if err != nil {
+		return nil, nil, err
+	}
+	return s.RunFigureSpec(spec)
+}
+
 func TestCardLabels(t *testing.T) {
 	c := Card{Arch: device.RV770, Mode: il.Compute, Type: il.Float4}
 	if c.Label() != "4870 Compute Float4" {
@@ -106,10 +115,10 @@ func suite() *Suite {
 
 func TestALUFetchDefaultsAndRunMetadata(t *testing.T) {
 	s := suite()
-	fig, runs, err := s.ALUFetchRatio(ALUFetchConfig{
+	fig, runs, err := s.runSpec(s.ALUFetchSpec(ALUFetchConfig{
 		Cards:    []Card{{Arch: device.RV770, Mode: il.Pixel, Type: il.Float}},
 		RatioMax: 1.0,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,9 +137,9 @@ func TestALUFetchDefaultsAndRunMetadata(t *testing.T) {
 
 func TestRegisterUsageAxisDescends(t *testing.T) {
 	s := suite()
-	fig, _, err := s.RegisterUsage(RegisterUsageConfig{
+	fig, _, err := s.runSpec(s.RegisterUsageSpec(RegisterUsageConfig{
 		Cards: []Card{{Arch: device.RV770, Mode: il.Pixel, Type: il.Float}},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,14 +3,13 @@ package core
 import (
 	"amdgpubench/internal/device"
 	"amdgpubench/internal/il"
-	"amdgpubench/internal/report"
 )
 
 // This file wires each paper figure to its exact configuration, so the
 // CLI, the benchmarks and EXPERIMENTS.md all regenerate the same curves.
-// Every figure is a FigureSpec builder plus a thin RunFigureSpec wrapper;
-// the spec builders are what the campaign scheduler (internal/campaign)
-// plans multi-figure runs from.
+// Every figure is a FigureSpec builder; the campaign registry
+// (internal/campaign) names them, and every front end runs them as
+// campaign plans.
 
 // named stamps a figure's canonical ID and title on its spec.
 func named(spec FigureSpec, err error, id, title string) (FigureSpec, error) {
@@ -29,18 +28,12 @@ func (s *Suite) Fig7Spec() (FigureSpec, error) {
 	return named(spec, err, "fig7", "ALU:Fetch Ratio for 16 Inputs")
 }
 
-// Fig7 runs Fig7Spec.
-func (s *Suite) Fig7() (*report.Figure, []Run, error) { return s.runNamedSpec(s.Fig7Spec()) }
-
 // Fig8Spec repeats Fig. 7's compute-mode series with the optimized 4x16
 // block.
 func (s *Suite) Fig8Spec() (FigureSpec, error) {
 	spec, err := s.ALUFetchSpec(ALUFetchConfig{Cards: ComputeCards(4, 16)})
 	return named(spec, err, "fig8", "ALU:Fetch Ratio for 16 Inputs with Block Size of 4x16")
 }
-
-// Fig8 runs Fig8Spec.
-func (s *Suite) Fig8() (*report.Figure, []Run, error) { return s.runNamedSpec(s.Fig8Spec()) }
 
 // Fig9Spec plans the ALU:Fetch sweep with global-memory reads and
 // streaming stores, pixel mode only.
@@ -52,9 +45,6 @@ func (s *Suite) Fig9Spec() (FigureSpec, error) {
 	})
 	return named(spec, err, "fig9", "ALU:Fetch Ratio Global Read Stream Write")
 }
-
-// Fig9 runs Fig9Spec.
-func (s *Suite) Fig9() (*report.Figure, []Run, error) { return s.runNamedSpec(s.Fig9Spec()) }
 
 // Fig10Spec plans the ALU:Fetch sweep with global reads and global writes,
 // on the GDDR5 chips in both modes (the configuration the paper plots).
@@ -74,26 +64,17 @@ func (s *Suite) Fig10Spec() (FigureSpec, error) {
 	return named(spec, err, "fig10", "ALU:Fetch Ratio for 16 Inputs using Global Read and Write")
 }
 
-// Fig10 runs Fig10Spec.
-func (s *Suite) Fig10() (*report.Figure, []Run, error) { return s.runNamedSpec(s.Fig10Spec()) }
-
 // Fig11Spec plans the texture fetch latency sweep: inputs 2..18.
 func (s *Suite) Fig11Spec() (FigureSpec, error) {
 	spec, err := s.ReadLatencySpec(ReadLatencyConfig{Space: il.TextureSpace})
 	return named(spec, err, "fig11", "Texture Fetch Latency")
 }
 
-// Fig11 runs Fig11Spec.
-func (s *Suite) Fig11() (*report.Figure, []Run, error) { return s.runNamedSpec(s.Fig11Spec()) }
-
 // Fig12Spec plans the global read latency sweep.
 func (s *Suite) Fig12Spec() (FigureSpec, error) {
 	spec, err := s.ReadLatencySpec(ReadLatencyConfig{Space: il.GlobalSpace})
 	return named(spec, err, "fig12", "Global Read Latency")
 }
-
-// Fig12 runs Fig12Spec.
-func (s *Suite) Fig12() (*report.Figure, []Run, error) { return s.runNamedSpec(s.Fig12Spec()) }
 
 // Fig13Spec plans the streaming store latency sweep: outputs 1..8, pixel
 // mode.
@@ -102,17 +83,11 @@ func (s *Suite) Fig13Spec() (FigureSpec, error) {
 	return named(spec, err, "fig13", "Streaming Store Latency")
 }
 
-// Fig13 runs Fig13Spec.
-func (s *Suite) Fig13() (*report.Figure, []Run, error) { return s.runNamedSpec(s.Fig13Spec()) }
-
 // Fig14Spec plans the global write latency sweep: outputs 1..8, both modes.
 func (s *Suite) Fig14Spec() (FigureSpec, error) {
 	spec, err := s.WriteLatencySpec(WriteLatencyConfig{Space: il.GlobalSpace})
 	return named(spec, err, "fig14", "Global Write Latency")
 }
-
-// Fig14 runs Fig14Spec.
-func (s *Suite) Fig14() (*report.Figure, []Run, error) { return s.runNamedSpec(s.Fig14Spec()) }
 
 // Fig15PixelSpec plans the pixel-mode domain size sweep (Fig. 15a).
 func (s *Suite) Fig15PixelSpec() (FigureSpec, error) {
@@ -120,20 +95,10 @@ func (s *Suite) Fig15PixelSpec() (FigureSpec, error) {
 	return named(spec, err, "fig15a", "Domain Size Pixel Shader")
 }
 
-// Fig15Pixel runs Fig15PixelSpec.
-func (s *Suite) Fig15Pixel() (*report.Figure, []Run, error) {
-	return s.runNamedSpec(s.Fig15PixelSpec())
-}
-
 // Fig15ComputeSpec plans the compute-mode domain size sweep (Fig. 15b).
 func (s *Suite) Fig15ComputeSpec() (FigureSpec, error) {
 	spec, err := s.DomainSizeSpec(DomainConfig{Cards: ComputeCards(0, 0)})
 	return named(spec, err, "fig15b", "Domain Size Compute Shader")
-}
-
-// Fig15Compute runs Fig15ComputeSpec.
-func (s *Suite) Fig15Compute() (*report.Figure, []Run, error) {
-	return s.runNamedSpec(s.Fig15ComputeSpec())
 }
 
 // Fig16Spec plans the register pressure sweep: 64 inputs, space 8,
@@ -143,17 +108,11 @@ func (s *Suite) Fig16Spec() (FigureSpec, error) {
 	return named(spec, err, "fig16", "Impact of Register Usage")
 }
 
-// Fig16 runs Fig16Spec.
-func (s *Suite) Fig16() (*report.Figure, []Run, error) { return s.runNamedSpec(s.Fig16Spec()) }
-
 // Fig17Spec repeats Fig. 16's compute series with the 4x16 block.
 func (s *Suite) Fig17Spec() (FigureSpec, error) {
 	spec, err := s.RegisterUsageSpec(RegisterUsageConfig{Cards: ComputeCards(4, 16)})
 	return named(spec, err, "fig17", "Impact of Register Usage with Block Size of 4x16")
 }
-
-// Fig17 runs Fig17Spec.
-func (s *Suite) Fig17() (*report.Figure, []Run, error) { return s.runNamedSpec(s.Fig17Spec()) }
 
 // ClauseControlSpec plans the Fig. 5 experiment: identical clause
 // structure with all sampling up front; its curves must be flat, proving
@@ -162,17 +121,4 @@ func (s *Suite) Fig17() (*report.Figure, []Run, error) { return s.runNamedSpec(s
 func (s *Suite) ClauseControlSpec() (FigureSpec, error) {
 	spec, err := s.RegisterUsageSpec(RegisterUsageConfig{Control: true})
 	return named(spec, err, "clausectl", "Clause Usage Control")
-}
-
-// ClauseControl runs ClauseControlSpec.
-func (s *Suite) ClauseControl() (*report.Figure, []Run, error) {
-	return s.runNamedSpec(s.ClauseControlSpec())
-}
-
-// runNamedSpec chains a spec builder's result into RunFigureSpec.
-func (s *Suite) runNamedSpec(spec FigureSpec, err error) (*report.Figure, []Run, error) {
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.RunFigureSpec(spec)
 }

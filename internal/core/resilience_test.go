@@ -39,7 +39,7 @@ func TestSweepRecordsTimeoutFailure(t *testing.T) {
 	s.Faults = &fault.Plan{Specs: []fault.Spec{
 		{Kind: fault.Hang, Prob: 1, Match: "alufetch_r0.50", Clause: -1},
 	}}
-	fig, runs, err := s.ALUFetchRatio(sweepCfg())
+	fig, runs, err := s.runSpec(s.ALUFetchSpec(sweepCfg()))
 	if err != nil {
 		t.Fatalf("sweep with one hung point should complete, got %v", err)
 	}
@@ -75,7 +75,7 @@ func TestSweepPanicRecoveredIntoPointError(t *testing.T) {
 			panic("injected test panic")
 		}
 	}
-	_, runs, err := s.ALUFetchRatio(sweepCfg())
+	_, runs, err := s.runSpec(s.ALUFetchSpec(sweepCfg()))
 	if err != nil {
 		t.Fatalf("sweep with one panicking point should complete, got %v", err)
 	}
@@ -100,7 +100,7 @@ func TestSweepRetriesTransientFaults(t *testing.T) {
 	s.Faults = &fault.Plan{Seed: 11, Specs: []fault.Spec{
 		{Kind: fault.Transient, Prob: 0.5},
 	}}
-	_, runs, err := s.ALUFetchRatio(sweepCfg())
+	_, runs, err := s.runSpec(s.ALUFetchSpec(sweepCfg()))
 	if err != nil {
 		t.Fatalf("transients should be retried away, got %v", err)
 	}
@@ -125,7 +125,7 @@ func TestSweepTransientExhaustionIsRecorded(t *testing.T) {
 	s.Faults = &fault.Plan{Specs: []fault.Spec{
 		{Kind: fault.Transient, Prob: 1, Match: "alufetch_r0.25"},
 	}}
-	_, runs, err := s.ALUFetchRatio(sweepCfg())
+	_, runs, err := s.runSpec(s.ALUFetchSpec(sweepCfg()))
 	if err != nil {
 		t.Fatalf("exhausted transient should be a point failure, got %v", err)
 	}
@@ -148,7 +148,7 @@ func TestSweepDeviceLostIsFatal(t *testing.T) {
 	s.Faults = &fault.Plan{Specs: []fault.Spec{
 		{Kind: fault.DeviceLost, Prob: 1, Match: "alufetch_r0.75"},
 	}}
-	_, _, err := s.ALUFetchRatio(sweepCfg())
+	_, _, err := s.runSpec(s.ALUFetchSpec(sweepCfg()))
 	if !errors.Is(err, cal.ErrDeviceLost) {
 		t.Fatalf("want fatal ErrDeviceLost, got %v", err)
 	}
@@ -158,14 +158,14 @@ func TestSweepNoPlanBitIdenticalToBaseline(t *testing.T) {
 	// The determinism guard: arming the resilient machinery without a
 	// fault plan must not perturb a single bit of the figures.
 	base := quickSuite()
-	fig1, _, err := base.ALUFetchRatio(sweepCfg())
+	fig1, _, err := base.runSpec(base.ALUFetchSpec(sweepCfg()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	armed := quickSuite()
 	armed.Retries = 3
 	armed.DeadlineCycles = 1 << 36
-	fig2, _, err := armed.ALUFetchRatio(sweepCfg())
+	fig2, _, err := armed.runSpec(armed.ALUFetchSpec(sweepCfg()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestCheckpointResumeSkipsCompletedPoints(t *testing.T) {
 	s1.Faults = &fault.Plan{Specs: []fault.Spec{
 		{Kind: fault.Hang, Prob: 1, Match: "alufetch_r0.50", Clause: -1},
 	}}
-	_, runs1, err := s1.ALUFetchRatio(sweepCfg())
+	_, runs1, err := s1.runSpec(s1.ALUFetchSpec(sweepCfg()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestCheckpointResumeSkipsCompletedPoints(t *testing.T) {
 	s2 := quickSuite()
 	s2.PersistDir = dir
 	s2.DeadlineCycles = 1 << 20
-	fig2, runs2, err := s2.ALUFetchRatio(sweepCfg())
+	fig2, runs2, err := s2.runSpec(s2.ALUFetchSpec(sweepCfg()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestCheckpointResumeSkipsCompletedPoints(t *testing.T) {
 	// The resumed figure matches a clean unpersisted run bit for bit.
 	clean := quickSuite()
 	clean.DeadlineCycles = 1 << 20
-	figClean, _, err := clean.ALUFetchRatio(sweepCfg())
+	figClean, _, err := clean.runSpec(clean.ALUFetchSpec(sweepCfg()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestCheckpointInterruptedMidSweepResumes(t *testing.T) {
 	s1.Faults = &fault.Plan{Specs: []fault.Spec{
 		{Kind: fault.DeviceLost, Prob: 1, Match: "alufetch_r0.75"},
 	}}
-	_, _, err := s1.ALUFetchRatio(sweepCfg())
+	_, _, err := s1.runSpec(s1.ALUFetchSpec(sweepCfg()))
 	if !errors.Is(err, cal.ErrDeviceLost) {
 		t.Fatalf("want fatal abort, got %v", err)
 	}
@@ -260,7 +260,7 @@ func TestCheckpointInterruptedMidSweepResumes(t *testing.T) {
 
 	s2 := quickSuite()
 	s2.PersistDir = dir
-	_, runs2, err := s2.ALUFetchRatio(sweepCfg())
+	_, runs2, err := s2.runSpec(s2.ALUFetchSpec(sweepCfg()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestCheckpointIgnoresForeignSweep(t *testing.T) {
 
 	s1 := quickSuite()
 	s1.PersistDir = dir
-	if _, _, err := s1.ALUFetchRatio(sweepCfg()); err != nil {
+	if _, _, err := s1.runSpec(s1.ALUFetchSpec(sweepCfg())); err != nil {
 		t.Fatal(err)
 	}
 
@@ -282,7 +282,7 @@ func TestCheckpointIgnoresForeignSweep(t *testing.T) {
 	other.Cards = []Card{{Arch: device.RV870, Mode: il.Pixel, Type: il.Float}}
 	s2 := quickSuite()
 	s2.PersistDir = dir
-	_, runs2, err := s2.ALUFetchRatio(other)
+	_, runs2, err := s2.runSpec(s2.ALUFetchSpec(other))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestCheckpointRejectsSameNameDifferentKernelBody(t *testing.T) {
 
 	s1 := quickSuite()
 	s1.PersistDir = dir
-	if _, _, err := s1.ALUFetchRatio(sweepCfg()); err != nil {
+	if _, _, err := s1.runSpec(s1.ALUFetchSpec(sweepCfg())); err != nil {
 		t.Fatal(err)
 	}
 
@@ -306,7 +306,7 @@ func TestCheckpointRejectsSameNameDifferentKernelBody(t *testing.T) {
 	other.Inputs = 8
 	s2 := quickSuite()
 	s2.PersistDir = dir
-	_, runs2, err := s2.ALUFetchRatio(other)
+	_, runs2, err := s2.runSpec(s2.ALUFetchSpec(other))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestCheckpointTruncatedMidRecordRecovers(t *testing.T) {
 
 	s1 := quickSuite()
 	s1.PersistDir = dir
-	if _, _, err := s1.ALUFetchRatio(sweepCfg()); err != nil {
+	if _, _, err := s1.runSpec(s1.ALUFetchSpec(sweepCfg())); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := filepath.Glob(filepath.Join(dir, "simulate", "*", "*.json"))
@@ -339,13 +339,13 @@ func TestCheckpointTruncatedMidRecordRecovers(t *testing.T) {
 
 	s2 := quickSuite()
 	s2.PersistDir = dir
-	fig2, runs2, err := s2.ALUFetchRatio(sweepCfg())
+	fig2, runs2, err := s2.runSpec(s2.ALUFetchSpec(sweepCfg()))
 	if err != nil {
 		t.Fatalf("truncated entry aborted the resume: %v", err)
 	}
 	wantResumed(t, s2, int64(len(runs2)-1), 1)
 	clean := quickSuite()
-	figClean, _, err := clean.ALUFetchRatio(sweepCfg())
+	figClean, _, err := clean.runSpec(clean.ALUFetchSpec(sweepCfg()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +381,7 @@ func TestInterruptedSweepResumesBitIdentical(t *testing.T) {
 	s1.Workers = 2
 	s1.PersistDir = dir
 	interruptAfter(s1, 2)
-	_, _, err := s1.ALUFetchRatio(cfg)
+	_, _, err := s1.runSpec(s1.ALUFetchSpec(cfg))
 	if !errors.Is(err, ErrSweepInterrupted) {
 		t.Fatalf("want ErrSweepInterrupted, got %v", err)
 	}
@@ -396,14 +396,14 @@ func TestInterruptedSweepResumesBitIdentical(t *testing.T) {
 	s2 := quickSuite()
 	s2.Workers = 2
 	s2.PersistDir = dir
-	fig2, runs2, err := s2.ALUFetchRatio(cfg)
+	fig2, runs2, err := s2.runSpec(s2.ALUFetchSpec(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantResumed(t, s2, completed, int64(len(runs2))-completed)
 
 	clean := quickSuite()
-	figClean, _, err := clean.ALUFetchRatio(cfg)
+	figClean, _, err := clean.runSpec(clean.ALUFetchSpec(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +415,7 @@ func TestInterruptedSweepResumesBitIdentical(t *testing.T) {
 func TestInterruptIdleSuiteIsNoop(t *testing.T) {
 	s := quickSuite()
 	s.Interrupt() // nothing in flight: must not wedge the next sweep
-	if _, _, err := s.ALUFetchRatio(sweepCfg()); err != nil {
+	if _, _, err := s.runSpec(s.ALUFetchSpec(sweepCfg())); err != nil {
 		t.Fatalf("sweep after idle Interrupt failed: %v", err)
 	}
 }
@@ -424,7 +424,7 @@ func TestRunKernelPointsMatchesFigureSweep(t *testing.T) {
 	// RunKernelPoints is the soak campaigns' entry; driving the same
 	// kernels through it must reproduce the figure sweep's runs exactly.
 	s := quickSuite()
-	fig, runs, err := s.ALUFetchRatio(sweepCfg())
+	fig, runs, err := s.runSpec(s.ALUFetchSpec(sweepCfg()))
 	if err != nil {
 		t.Fatal(err)
 	}

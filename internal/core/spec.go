@@ -4,10 +4,10 @@ import "amdgpubench/internal/report"
 
 // A FigureSpec is a declaratively planned figure: the figure template,
 // the exact sweep points that produce it, and how completed runs fold
-// into the template's series. Every figure method on Suite (Fig7..Fig17,
-// the extensions) is a spec builder plus RunFigureSpec; the campaign
-// scheduler (internal/campaign) consumes the same specs to plan several
-// figures as one deduplicated DAG of work units.
+// into the template's series. Every figure (Fig7Spec..Fig17Spec, the
+// extensions) is a spec builder; the campaign scheduler
+// (internal/campaign) plans any set of specs as one deduplicated DAG of
+// work units, and that is how every front end runs figures.
 type FigureSpec struct {
 	// Fig is the figure template the spec's runs assemble into. It is
 	// single-use: Finish appends series to it. Nil means the spec has no
@@ -35,9 +35,9 @@ func (sp FigureSpec) FinishInto(runs []Run) {
 }
 
 // RunFigureSpec executes one spec directly — the degenerate single-spec
-// campaign: every point through the resilient sweep runner, then series
-// assembly. Multi-spec runs with cross-figure deduplication live in
-// internal/campaign.
+// campaign: every point through the resilient sweep runner, in figure
+// order, then series assembly. It is the reference arm campaign fan-out
+// is tested against, and how this package's own tests run a figure.
 func (s *Suite) RunFigureSpec(spec FigureSpec) (*report.Figure, []Run, error) {
 	runs, err := s.RunKernelPoints(spec.Points)
 	if err != nil {

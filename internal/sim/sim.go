@@ -93,7 +93,7 @@ type Config struct {
 	Order raster.Order
 	W, H  int
 	// Iterations is the number of kernel invocations to time; zero means
-	// DefaultIterations.
+	// DefaultIterations; a negative count is an error.
 	Iterations int
 	// Ablate selectively disables hardware mechanisms.
 	Ablate Ablations
@@ -260,6 +260,9 @@ func Run(cfg Config) (Result, error) {
 	}
 	if cfg.Prog.Mode == il.Compute && !cfg.Spec.SupportsCompute {
 		return Result{}, fmt.Errorf("sim: %s does not support compute shader mode", cfg.Spec.Arch)
+	}
+	if cfg.Iterations < 0 {
+		return Result{}, fmt.Errorf("sim: negative iteration count %d", cfg.Iterations)
 	}
 	iters := cfg.Iterations
 	if iters == 0 {
